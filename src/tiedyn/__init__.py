@@ -4,16 +4,16 @@ from .aggregate import AggregateNetwork, aggregate_propagator, aggregate_weights
 from .events import (Event, EventStream, EventStreamError,
                      exclude_low_degree_nodes, group_event_times, parse_events,
                      serialize_events, stream_stats)
-from .propagator import (DeGrootTransition, IntervalFactor, Propagator,
-                         degroot_from_laplacian, degroot_run,
-                         degroot_transition, evolve_opinions, interval_factor,
-                         iter_factors, ode_oracle, propagate)
+from .propagator import (IntervalFactor, Propagator, degroot_from_laplacian,
+                         degroot_run, degroot_transition, evolve_opinions,
+                         interval_factor, iter_factors, ode_oracle, propagate)
 from .randomize import (RandomizerSpec, interval_shuffle, member_seed,
                         random_edge_shuffle, random_times, randomize,
                         shuffle_time_stamps)
 from .spectral import (DegenerateFiedlerError, ShrinkageReport,
                        SpectralSummary, eigendecompose, fiedler_left,
                        shrinkage_ratio, spectral_gap)
-from .tie_decay import TieDecayState, apply_events, decay_to, laplacian
+from .tie_decay import (TieDecayState, apply_events, decay_to, intervals,
+                        laplacian)
 
 __version__ = "0.1.0"

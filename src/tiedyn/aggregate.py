@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .events import EventStream
+from .propagator import _expm
+from .tie_decay import laplacian
 
 
 @dataclass(frozen=True)
@@ -43,22 +44,10 @@ def aggregate_weights(stream: EventStream, alpha: float) -> AggregateNetwork:
     return AggregateNetwork(w, alpha, T)
 
 
-def aggregate_laplacian(agg: AggregateNetwork) -> np.ndarray:
-    """Combinatorial Laplacian L = D - W of the aggregate weights."""
-    L = -agg.weights.copy()
-    np.fill_diagonal(L, agg.weights.sum(axis=1))
-    return L
-
-
 def aggregate_propagator(agg: AggregateNetwork, t: float) -> np.ndarray:
     """exp(-t L^T): the opinion map under the constant aggregate Laplacian."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    L = aggregate_laplacian(agg)
-    if np.array_equal(L, L.T):
-        vals, vecs = np.linalg.eigh(-t * L)
-        M = (vecs * np.exp(vals)) @ vecs.T
-    else:
-        M = scipy.linalg.expm(-t * L.T)
+    M = _expm(-t * laplacian(agg.weights).T)
     np.clip(M, 0.0, None, out=M)
     return M

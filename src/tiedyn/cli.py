@@ -12,6 +12,7 @@ line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -38,8 +39,9 @@ def _parse_alpha_grid(text: str) -> list[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad grid spec {text!r}, expected LO:HI:POINTS") from None
-    if lo <= 0 or hi <= lo or pts < 2:
-        raise argparse.ArgumentTypeError("grid bounds must be positive and ordered")
+    if not (0 < lo < hi < math.inf) or pts < 2:
+        raise argparse.ArgumentTypeError(
+            "grid bounds must be positive, finite and ordered")
     return list(np.geomspace(lo, hi, pts))
 
 

@@ -8,6 +8,7 @@ Times are shifted so that the first event occurs at t = 0.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -45,7 +46,6 @@ class EventStream:
     node_count: int
     labels: tuple[str, ...]
     directed: bool = False
-    time_resolution: float = 1.0
 
     def __post_init__(self):
         if not self.events:
@@ -87,12 +87,18 @@ class EventStream:
             node_count=self.node_count,
             labels=self.labels,
             directed=self.directed,
-            time_resolution=self.time_resolution,
         )
 
 
-def parse_events(text: str | Iterable[str], directed: bool = False,
-                 time_resolution: float = 1.0) -> EventStream:
+def format_float(x: float) -> str:
+    """Shortest round-trip decimal of ``float(x)``; integer values print
+    without a fraction (``3``, not ``3.0``)."""
+    x = float(x)
+    return repr(int(x)) if x.is_integer() else repr(x)
+
+
+def parse_events(text: str | Iterable[str],
+                 directed: bool = False) -> EventStream:
     """Parse ``t i j`` lines into a validated EventStream.
 
     Blank lines and lines starting with ``#`` are ignored. Node labels
@@ -115,6 +121,8 @@ def parse_events(text: str | Iterable[str], directed: bool = False,
             t = float(t_str)
         except ValueError:
             raise EventStreamError(f"line {lineno}: bad time {t_str!r}") from None
+        if not math.isfinite(t):
+            raise EventStreamError(f"line {lineno}: non-finite time {t_str!r}")
         if t < 0:
             raise EventStreamError(f"line {lineno}: negative time {t}")
         if i == j:
@@ -141,7 +149,6 @@ def parse_events(text: str | Iterable[str], directed: bool = False,
         node_count=len(labels),
         labels=labels,
         directed=directed,
-        time_resolution=time_resolution,
     )
 
 
@@ -149,9 +156,8 @@ def serialize_events(stream: EventStream) -> str:
     """Render a stream back to ``t i j`` lines with original labels."""
     lines = []
     for ev in stream.events:
-        t = ev.time
-        t_str = repr(int(t)) if float(t).is_integer() else repr(t)
-        lines.append(f"{t_str} {stream.labels[ev.source]} {stream.labels[ev.target]}")
+        lines.append(f"{format_float(ev.time)} {stream.labels[ev.source]} "
+                     f"{stream.labels[ev.target]}")
     return "\n".join(lines) + "\n"
 
 
@@ -215,5 +221,4 @@ def exclude_low_degree_nodes(stream: EventStream, min_edges: int) -> EventStream
         node_count=len(keep),
         labels=tuple(stream.labels[i] for i in keep),
         directed=stream.directed,
-        time_resolution=stream.time_resolution,
     )

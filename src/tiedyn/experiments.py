@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .aggregate import aggregate_propagator, aggregate_weights
-from .events import (EventStream, exclude_low_degree_nodes, group_event_times,
-                     parse_events)
-from .propagator import interval_factor, iter_factors, propagate
+from .events import (EventStream, exclude_low_degree_nodes, format_float,
+                     group_event_times, parse_events)
+from .propagator import iter_factors, propagate
 from .randomize import (METHODS, RandomizerSpec, member_seed, randomize)
 from .spectral import DegenerateFiedlerError, shrinkage_ratio, spectral_gap
-from .tie_decay import TieDecayState, apply_events, decay_to, laplacian
 
 SLOPE_DEAD_BAND = 1e-9
 
@@ -50,8 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.ensemble < 1:
             raise ValueError("ensemble size must be >= 1")
-        if any(a <= 0 for a in self.alphas):
-            raise ValueError("alpha values must be positive")
+        if not all(0 < a < math.inf for a in self.alphas):
+            raise ValueError("alpha values must be positive and finite")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -184,21 +184,13 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
     records: list[ExperimentRecord] = []
     groups = group_event_times(stream)
     for alpha in config.alphas:
-        n = stream.node_count
-        M = np.eye(n)
-        state = TieDecayState.zeros(n, alpha, stream.directed,
-                                    time=groups[0][0])
-        for k, (t_k, evs) in enumerate(groups):
+        M = np.eye(stream.node_count)
+        # one factor per group but the last, which has no following interval
+        for (t_k, evs), Y in zip_longest(groups, iter_factors(stream, alpha)):
             gap = spectral_gap(M)
             flags = []
             ratio = None
-            if k > 0:
-                state = decay_to(state, t_k)
-            state = apply_events(state, evs)
-            if k + 1 < len(groups):
-                t_next = groups[k + 1][0]
-                Y = interval_factor(laplacian(state), t_next - t_k, alpha,
-                                    t_start=t_k)
+            if Y is not None:
                 try:
                     ratio = shrinkage_ratio(M, Y).ratio
                 except DegenerateFiedlerError:
@@ -241,7 +233,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(int(value)) if value.is_integer() else repr(value)
+        return format_float(value)
     return str(value)
 
 

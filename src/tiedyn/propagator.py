@@ -12,14 +12,14 @@ integrator used only to verify the matrix-exponential path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 import scipy.linalg
 
-from .events import Event, EventStream, group_event_times
-from .tie_decay import TieDecayState, apply_events, decay_to, laplacian
+from .events import Event, EventStream
+from .tie_decay import intervals
 
 _COLSUM_TOL = 1e-10
 _NEG_TOL = 1e-12
@@ -49,7 +49,6 @@ class Propagator:
     matrix: np.ndarray
     time: float
     n_intervals: int
-    factors: list[IntervalFactor] | None = None
 
 
 def _stable_coefficient(delta_t: float, alpha: float) -> float:
@@ -88,47 +87,24 @@ def iter_factors(stream: EventStream, alpha: float,
                  upto: float | None = None) -> Iterator[IntervalFactor]:
     """Yield interval factors in time order up to ``upto``.
 
-    ``upto`` exactly at an event time means the events at that time are
-    not applied (the factor sequence stops just before them). A final
-    partial factor covers any remaining open interval.
+    The intervals, and the ``upto`` rule, are those of
+    ``tie_decay.intervals``.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    groups = group_event_times(stream)
-    if upto is None:
-        upto = stream.horizon
-    state = TieDecayState.zeros(stream.node_count, alpha, stream.directed,
-                                time=groups[0][0])
-    t_prev: float | None = None
-    for t_g, evs in groups:
-        if t_g > upto or (t_prev is not None and t_g >= upto):
-            break
-        if t_prev is not None:
-            L = laplacian(state)
-            yield interval_factor(L, t_g - t_prev, alpha, t_start=t_prev)
-            state = decay_to(state, t_g)
-        state = apply_events(state, evs)
-        t_prev = t_g
-    if t_prev is not None and upto > t_prev:
-        L = laplacian(state)
-        yield interval_factor(L, upto - t_prev, alpha, t_start=t_prev)
+    for t_start, dt, L in intervals(stream, alpha, upto):
+        yield interval_factor(L, dt, alpha, t_start=t_start)
 
 
-def propagate(stream: EventStream, alpha: float, upto: float | None = None,
-              keep_factors: bool = False) -> Propagator:
+def propagate(stream: EventStream, alpha: float,
+              upto: float | None = None) -> Propagator:
     """Accumulate M(upto) as the time-ordered product of interval factors."""
     if upto is None:
         upto = stream.horizon
-    n = stream.node_count
-    M = np.eye(n)
-    factors: list[IntervalFactor] | None = [] if keep_factors else None
+    M = np.eye(stream.node_count)
     count = 0
     for fac in iter_factors(stream, alpha, upto):
         M = M @ fac.matrix
         count += 1
-        if factors is not None:
-            factors.append(fac)
-    return Propagator(M, upto, count, factors)
+    return Propagator(M, upto, count)
 
 
 def evolve_opinions(x0: np.ndarray, stream: EventStream, alpha: float,
@@ -154,42 +130,23 @@ def ode_oracle(x0: np.ndarray, stream: EventStream, alpha: float,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if upto is None:
-        upto = stream.horizon
-    groups = group_event_times(stream)
     x = np.asarray(x0, dtype=float).copy()
-    state = TieDecayState.zeros(stream.node_count, alpha, stream.directed,
-                                time=groups[0][0])
-    t_prev: float | None = None
 
-    def integrate(L0: np.ndarray, t_from: float, t_to: float,
-                  x: np.ndarray) -> np.ndarray:
-        LT = L0.T
+    def deriv(s: float, x: np.ndarray, LT: np.ndarray) -> np.ndarray:
+        # s is the time elapsed since the start of the interval
+        return -math.exp(-alpha * s) * (x @ LT)
 
-        def deriv(t: float, x: np.ndarray) -> np.ndarray:
-            return -math.exp(-alpha * (t - t_from)) * (x @ LT)
-
-        t = t_from
-        while t < t_to:
-            h = min(step, t_to - t)
-            k1 = deriv(t, x)
-            k2 = deriv(t + h / 2, x + h / 2 * k1)
-            k3 = deriv(t + h / 2, x + h / 2 * k2)
-            k4 = deriv(t + h, x + h * k3)
+    for _, dt, L in intervals(stream, alpha, upto):
+        LT = L.T
+        s = 0.0
+        while s < dt:
+            h = min(step, dt - s)
+            k1 = deriv(s, x, LT)
+            k2 = deriv(s + h / 2, x + h / 2 * k1, LT)
+            k3 = deriv(s + h / 2, x + h / 2 * k2, LT)
+            k4 = deriv(s + h, x + h * k3, LT)
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        return x
-
-    for t_g, evs in groups:
-        if t_g > upto or (t_prev is not None and t_g >= upto):
-            break
-        if t_prev is not None:
-            x = integrate(laplacian(state), t_prev, t_g, x)
-            state = decay_to(state, t_g)
-        state = apply_events(state, evs)
-        t_prev = t_g
-    if t_prev is not None and upto > t_prev:
-        x = integrate(laplacian(state), t_prev, upto, x)
+            s += h
     return x
 
 
@@ -197,40 +154,22 @@ def ode_oracle(x0: np.ndarray, stream: EventStream, alpha: float,
 # DeGroot model
 
 
-@dataclass(frozen=True)
-class DeGrootTransition:
-    """Column-normalized tie-strength matrix for one DeGroot step."""
-
-    matrix: np.ndarray
-    step: int = 0
-
-    def __post_init__(self):
-        colsums = self.matrix.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > _COLSUM_TOL:
-            raise ValueError("DeGroot transition columns do not sum to 1")
-
-
-def _column_normalize(A: np.ndarray) -> np.ndarray:
-    """Normalize columns to sum 1; all-zero columns become identity columns."""
-    colsums = A.sum(axis=0)
-    B = np.eye(A.shape[0])
+def degroot_transition(weights: np.ndarray) -> np.ndarray:
+    """Column-normalize tie weights; all-zero (isolated) columns become
+    identity columns, so those nodes keep their opinion."""
+    colsums = weights.sum(axis=0)
+    B = np.eye(weights.shape[0])
     nz = colsums > 0
-    B[:, nz] = A[:, nz] / colsums[nz]
+    B[:, nz] = weights[:, nz] / colsums[nz]
     return B
 
 
-def degroot_transition(state: TieDecayState, step: int = 0) -> DeGrootTransition:
-    """Column-normalize the tie weights; isolated columns keep their opinion."""
-    return DeGrootTransition(_column_normalize(state.weights), step)
-
-
 def degroot_from_laplacian(L: np.ndarray, t_prev: float, t_next: float,
-                           alpha: float) -> DeGrootTransition:
-    """The interval factor packaged as a DeGroot transition matrix."""
+                           alpha: float) -> IntervalFactor:
+    """The DeGroot transition over [t_prev, t_next]: the interval factor."""
     if t_next < t_prev:
         raise ValueError("t_next must be >= t_prev")
-    fac = interval_factor(L, t_next - t_prev, alpha, t_start=t_prev)
-    return DeGrootTransition(fac.matrix)
+    return interval_factor(L, t_next - t_prev, alpha, t_start=t_prev)
 
 
 def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
@@ -264,5 +203,5 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
             A_tilde[ev.source, ev.target] += 1.0
             if not stream.directed:
                 A_tilde[ev.target, ev.source] += 1.0
-        y = y @ _column_normalize(A_tilde)
+        y = y @ degroot_transition(A_tilde)
     return y

@@ -25,8 +25,8 @@ class SpectralError(RuntimeError):
 
 
 class DegenerateFiedlerError(SpectralError):
-    """|lambda_2| is not separated from |lambda_3|; no distinguished
-    Fiedler direction exists."""
+    """|lambda_2| is not separated from |lambda_1| or |lambda_3|; no
+    distinguished Fiedler direction exists."""
 
 
 @dataclass
@@ -129,13 +129,18 @@ def spectral_gap(M: np.ndarray) -> float:
 def fiedler_left(M: np.ndarray) -> np.ndarray:
     """Left eigenvector for the second-largest-magnitude eigenvalue.
 
-    Raises DegenerateFiedlerError when |lambda_2| and |lambda_3| are not
-    separated, since no distinguished Fiedler direction exists then.
+    Raises DegenerateFiedlerError when |lambda_2| is not separated from
+    |lambda_1| (a disconnected tie graph, gap 0) or from |lambda_3|, since
+    no distinguished Fiedler direction exists then.
     """
     summary = eigendecompose(M, k=min(2, M.shape[0]))
     if M.shape[0] < 2:
         raise DegenerateFiedlerError("need at least 2 nodes")
     mags = np.abs(summary.eigenvalues)
+    if mags[0] - mags[1] < _DEGENERACY_TOL:
+        raise DegenerateFiedlerError(
+            f"|lambda_1|={mags[0]} and |lambda_2|={mags[1]} are degenerate"
+        )
     if len(mags) > 2 and mags[1] - mags[2] < _DEGENERACY_TOL:
         raise DegenerateFiedlerError(
             f"|lambda_2|={mags[1]} and |lambda_3|={mags[2]} are degenerate"

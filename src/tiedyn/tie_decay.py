@@ -2,17 +2,19 @@
 
 Tie strengths decay as db/dt = -alpha*b between events and jump by 1
 when an event occurs on the pair. The combinatorial Laplacian is
-derived from the weight matrix on demand.
+derived from the weight matrix on demand, and ``intervals`` walks a
+stream's event times once, yielding the Laplacian of every
+inter-event interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .events import Event
+from .events import Event, EventStream, group_event_times
 
 # Weights this small are flushed to exact zero to avoid subnormal drag.
 _FLUSH_THRESHOLD = 1e-300
@@ -74,12 +76,39 @@ def apply_events(state: TieDecayState, events: Iterable[Event]) -> TieDecayState
     return TieDecayState(w, state.current_time, state.alpha, state.directed)
 
 
-def laplacian(state: TieDecayState) -> np.ndarray:
-    """Combinatorial Laplacian L = D - B of the current tie weights.
+def laplacian(weights: np.ndarray) -> np.ndarray:
+    """Combinatorial Laplacian L = D - W of a weight matrix.
 
     Row i sums to zero; the diagonal holds node i's weighted out-degree.
     """
-    w = state.weights
-    L = -w.copy()
-    np.fill_diagonal(L, w.sum(axis=1))
+    L = -weights
+    np.fill_diagonal(L, weights.sum(axis=1))
     return L
+
+
+def intervals(stream: EventStream, alpha: float, upto: float | None = None
+              ) -> Iterator[tuple[float, float, np.ndarray]]:
+    """Yield ``(t_start, dt, L)`` for each inter-event interval up to ``upto``.
+
+    ``L`` is the Laplacian just after the events at ``t_start``; over the
+    interval it decays as ``L e^{-alpha (t - t_start)}``. ``upto``
+    defaults to the horizon. ``upto`` exactly at an event time means the
+    events at that time are not applied (the walk stops just before
+    them); a final partial interval covers any remaining open time.
+    """
+    groups = group_event_times(stream)
+    if upto is None:
+        upto = stream.horizon
+    state = TieDecayState.zeros(stream.node_count, alpha, stream.directed,
+                                time=groups[0][0])
+    t_prev: float | None = None
+    for t_g, evs in groups:
+        if t_g > upto or (t_prev is not None and t_g >= upto):
+            break
+        if t_prev is not None:
+            yield t_prev, t_g - t_prev, laplacian(state.weights)
+            state = decay_to(state, t_g)
+        state = apply_events(state, evs)
+        t_prev = t_g
+    if t_prev is not None and upto > t_prev:
+        yield t_prev, upto - t_prev, laplacian(state.weights)

@@ -23,6 +23,7 @@ from tiedyn.randomize import (interval_shuffle, random_edge_shuffle,
                               random_times, shuffle_time_stamps)
 from tiedyn.spectral import shrinkage_ratio, spectral_gap
 from tiedyn.experiments import ExperimentConfig, positive_slope_flags, run_alpha_sweep
+from tiedyn.tie_decay import intervals
 
 from test_aggregate import time_averaged_weights
 
@@ -126,16 +127,8 @@ def test_criterion_4_degroot_correspondence():
         via_m = x0 @ propagate(stream, alpha, upto=upto).matrix
         # product of the discrete-time transitions along the event times
         y = x0.copy()
-        from tiedyn.tie_decay import TieDecayState, apply_events, decay_to, laplacian
-        state = TieDecayState.zeros(stream.node_count, alpha, time=times[0])
-        groups = group_event_times(stream)
-        for k, (t, evs) in enumerate(groups[:-1]):
-            if k > 0:
-                state = decay_to(state, t)
-            state = apply_events(state, evs)
-            t_next = groups[k + 1][0]
-            y = y @ degroot_from_laplacian(laplacian(state), t, t_next,
-                                           alpha).matrix
+        for (t, _, L), t_next in zip(intervals(stream, alpha, upto), times[1:]):
+            y = y @ degroot_from_laplacian(L, t, t_next, alpha).matrix
         ok &= np.max(np.abs(via_m - y)) <= 1e-8
     report(4, "DeGroot correspondence", ok)
 

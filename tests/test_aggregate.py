@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tiedyn.aggregate import (aggregate_laplacian, aggregate_propagator,
-                              aggregate_weights)
+from tiedyn.aggregate import aggregate_propagator, aggregate_weights
 from tiedyn.events import group_event_times, parse_events
-from tiedyn.tie_decay import TieDecayState, apply_events, decay_to
+from tiedyn.tie_decay import TieDecayState, apply_events, decay_to, laplacian
 
 from conftest import make_random_stream
 
@@ -116,5 +115,5 @@ def test_two_node_analytic_gap():
 
 def test_laplacian_row_sums_zero():
     agg = aggregate_weights(make_random_stream(8), 1.0)
-    L = aggregate_laplacian(agg)
+    L = laplacian(agg.weights)
     assert np.max(np.abs(L.sum(axis=1))) < 1e-12

@@ -3,6 +3,7 @@ import pytest
 from tiedyn.events import (Event, EventStream, EventStreamError,
                            exclude_low_degree_nodes, group_event_times,
                            parse_events, serialize_events, stream_stats)
+from tiedyn.randomize import interval_shuffle, random_times
 
 from conftest import make_random_stream
 
@@ -27,6 +28,12 @@ def test_parse_malformed_line_reports_number():
         parse_events("0 a b\n1 a\n2 b c")
     with pytest.raises(EventStreamError, match="line 3"):
         parse_events("0 a b\n1 a c\nnope a b")
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "Infinity"])
+def test_parse_rejects_nonfinite_time(bad):
+    with pytest.raises(EventStreamError, match="line 2: non-finite time"):
+        parse_events(f"0 a b\n{bad} b c")
 
 
 def test_parse_rejects_self_event():
@@ -65,10 +72,17 @@ def test_round_trip_random(seed):
     text = serialize_events(s)
     reparsed = parse_events(text)
     assert serialize_events(reparsed) == text
-    # node counts can differ (the generator may leave a node eventless)
-    assert stream_stats(reparsed)["edges"] == stream_stats(s)["edges"]
-    assert stream_stats(reparsed)["events"] == stream_stats(s)["events"]
-    assert parse_events(serialize_events(reparsed)) == reparsed
+    # randomized members carry numpy float times, and random times need
+    # not start at 0 (parsing shifts them)
+    for member in (s, interval_shuffle(s, 3), random_times(s, 3)):
+        reparsed = parse_events(serialize_events(member))
+        t0 = member.events[0].time
+        assert [e.time for e in reparsed.events] == \
+            [e.time - t0 for e in member.events]
+        # node counts can differ (the generator may leave a node eventless)
+        assert stream_stats(reparsed)["edges"] == stream_stats(member)["edges"]
+        assert stream_stats(reparsed)["events"] == stream_stats(member)["events"]
+        assert parse_events(serialize_events(reparsed)) == reparsed
 
 
 def test_time_shift_preserves_intervals():

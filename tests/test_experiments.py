@@ -1,10 +1,11 @@
+import argparse
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tiedyn.cli import main as cli_main
+from tiedyn.cli import _parse_alpha_grid, main as cli_main
 from tiedyn.events import parse_events
 from tiedyn.experiments import (CSV_HEADER, ExperimentConfig,
                                 positive_slope_flags, records_to_csv, run,
@@ -134,6 +135,21 @@ def test_time_series_event_counts():
     assert [r.event_count for r in records] == [2, 1, 1]
 
 
+def test_time_series_disconnected_rows_degenerate():
+    # two components until t=3: |lambda_1| = |lambda_2| = 1 at t=1 and t=2,
+    # so the Fiedler direction is an arbitrary vector of a 2-d eigenspace
+    s = parse_events("0 a b\n0 c d\n1 a b\n2 c d\n3 a c\n")
+    records = run_time_series(s, ExperimentConfig(alphas=[1.0]))
+    assert [r.t_n for r in records] == [0.0, 1.0, 2.0, 3.0]
+    for r in records[1:3]:
+        assert r.gap < 1e-10
+        assert r.shrinkage_ratio is None
+        assert r.flags == "degenerate_fiedler"
+    lines = records_to_csv(records).splitlines()
+    assert lines[2].endswith(",,degenerate_fiedler")
+    assert lines[3].endswith(",,degenerate_fiedler")
+
+
 def test_time_series_fig5_style_anticorrelation():
     # same events at t0, different single event at t1: the case whose
     # factor shrinks the Fiedler vector more gains the larger gap
@@ -170,6 +186,46 @@ def test_degenerate_stream_both_gaps_zero():
 
 
 # --- CSV and CLI ------------------------------------------------------------
+
+def test_alpha_sweep_csv_cells_parse_as_numbers():
+    # numpy alphas from a log grid must print as plain decimals
+    cfg = ExperimentConfig(alphas=list(np.geomspace(1, 100, 5)))
+    lines = records_to_csv(run_alpha_sweep(triangle_stream(), cfg)).splitlines()
+    header = lines[0].split(",")
+    numeric = ["alpha", "seed", "t_n", "event_count", "gap", "shrinkage_ratio"]
+    assert len(lines) == 6
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        for col in numeric:
+            if row[col]:
+                float(row[col])
+    alphas = [float(line.split(",")[2]) for line in lines[1:]]
+    assert alphas == [float(a) for a in cfg.alphas]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_config_rejects_nonfinite_alpha(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ExperimentConfig(alphas=[1.0, bad])
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_cli_rejects_nonfinite_alpha(tmp_path, capsys, bad):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    rc = cli_main(["--input", str(inp), "--mode", "alpha-sweep",
+                   "--alpha", bad, "--out", str(tmp_path / "o.csv")])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "positive and finite" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["1:inf:5", "nan:1:5", "1:nan:5", "inf:inf:3"])
+def test_alpha_grid_rejects_nonfinite_bounds(spec):
+    with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+        _parse_alpha_grid(spec)
+
 
 def test_csv_reproducible(tmp_path):
     inp = tmp_path / "events.txt"

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from tiedyn.events import Event, EventStream, group_event_times, parse_events
-from tiedyn.propagator import (DeGrootTransition, degroot_from_laplacian,
+from tiedyn.propagator import (IntervalFactor, degroot_from_laplacian,
                                degroot_run, degroot_transition,
                                evolve_opinions, interval_factor, iter_factors,
                                ode_oracle, propagate)
-from tiedyn.tie_decay import TieDecayState
 
 from conftest import make_random_stream
 
@@ -97,10 +96,10 @@ def test_propagate_factor_associativity(seed):
     if len(groups) < 3:
         pytest.skip("needs at least 3 event times")
     mid = groups[len(groups) // 2][0]
-    full = propagate(stream, alpha, keep_factors=True)
+    full = propagate(stream, alpha)
     head = propagate(stream, alpha, upto=mid)
     tail = np.eye(stream.node_count)
-    for fac in full.factors:
+    for fac in iter_factors(stream, alpha):
         if fac.t_start >= mid:
             tail = tail @ fac.matrix
     assert np.allclose(head.matrix @ tail, full.matrix, atol=1e-10)
@@ -164,16 +163,15 @@ def test_ode_oracle_matches_random_stream():
 
 
 def test_degroot_transition_permutation():
-    state = TieDecayState(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)
-    tr = degroot_transition(state)
-    assert np.array_equal(tr.matrix, [[0.0, 1.0], [1.0, 0.0]])
+    tr = degroot_transition(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(tr, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_degroot_transition_isolated_column():
     w = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    tr = degroot_transition(TieDecayState(w, 0.0, 1.0))
-    assert np.allclose(tr.matrix.sum(axis=0), 1.0)
-    assert np.array_equal(tr.matrix[:, 2], [0.0, 0.0, 1.0])
+    tr = degroot_transition(w)
+    assert np.allclose(tr.sum(axis=0), 1.0)
+    assert np.array_equal(tr[:, 2], [0.0, 0.0, 1.0])
 
 
 def test_degroot_from_laplacian_identity_at_zero_interval():
@@ -184,6 +182,8 @@ def test_degroot_from_laplacian_identity_at_zero_interval():
 def test_degroot_from_laplacian_matches_interval_factor():
     tr = degroot_from_laplacian(L2, 0.0, 3.0, 0.5)
     fac = interval_factor(L2, 3.0, 0.5)
+    assert isinstance(tr, IntervalFactor)
+    assert (tr.t_start, tr.t_end) == (0.0, 3.0)
     assert np.array_equal(tr.matrix, fac.matrix)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tiedyn.events import Event, group_event_times
-from tiedyn.tie_decay import TieDecayState, apply_events, decay_to, laplacian
+from tiedyn.tie_decay import (TieDecayState, apply_events, decay_to,
+                               intervals, laplacian)
 
 from conftest import make_random_stream
 
@@ -79,12 +80,12 @@ def test_apply_time_mismatch():
 
 
 def test_laplacian_zero_state():
-    assert np.array_equal(laplacian(TieDecayState.zeros(3, 1.0)),
+    assert np.array_equal(laplacian(TieDecayState.zeros(3, 1.0).weights),
                           np.zeros((3, 3)))
 
 
 def test_laplacian_two_node():
-    L = laplacian(state_with(1.0))
+    L = laplacian(state_with(1.0).weights)
     assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
@@ -104,7 +105,7 @@ def _evolve(stream, alpha):
 def test_laplacian_row_sums_zero(seed):
     stream = make_random_stream(seed)
     for _, state in _evolve(stream, alpha=0.5):
-        assert np.max(np.abs(laplacian(state).sum(axis=1))) < 1e-12
+        assert np.max(np.abs(laplacian(state.weights).sum(axis=1))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -114,19 +115,15 @@ def test_undirected_symmetry_preserved(seed):
         assert np.array_equal(state.weights, state.weights.T)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_laplacian_recursion_equivalence(seed):
-    # evolve the Laplacian directly by the event-time recursion
-    # L~(t_n+) = L~(t_{n-1}+) e^{-a dt} + L(t_n) and compare with the
-    # Laplacian derived from the weight-matrix path
-    alpha = 0.3
-    stream = make_random_stream(seed, max_events=10)
-    groups = group_event_times(stream)
+def _recursion_laplacians(stream, alpha):
+    """Evolve the Laplacian directly by the event-time recursion
+    L~(t_n+) = L~(t_{n-1}+) e^{-a dt} + L(t_n), yielding (t_n, L~(t_n+))."""
     n = stream.node_count
     L_rec = np.zeros((n, n))
-    t_prev = groups[0][0]
-    for k, (t, evs) in enumerate(groups):
-        L_rec = L_rec * math.exp(-alpha * (t - t_prev))
+    t_prev = None
+    for t, evs in group_event_times(stream):
+        if t_prev is not None:
+            L_rec = L_rec * math.exp(-alpha * (t - t_prev))
         L_step = np.zeros((n, n))
         for ev in evs:
             for i, j in ((ev.source, ev.target), (ev.target, ev.source)):
@@ -134,6 +131,34 @@ def test_laplacian_recursion_equivalence(seed):
                 L_step[i, i] += 1.0
         L_rec = L_rec + L_step
         t_prev = t
+        yield t, L_rec
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_laplacian_recursion_equivalence(seed):
+    # compare the recursion with the Laplacian derived from the
+    # weight-matrix path, and with every L the shared timeline yields
+    alpha = 0.3
+    stream = make_random_stream(seed, max_events=10)
+    rec = dict(_recursion_laplacians(stream, alpha))
     states = list(_evolve(stream, alpha))
-    L_direct = laplacian(states[-1][1])
-    assert np.max(np.abs(L_rec - L_direct)) < 1e-12
+    L_direct = laplacian(states[-1][1].weights)
+    assert np.max(np.abs(rec[stream.horizon] - L_direct)) < 1e-12
+
+    times = list(rec)
+    k = len(times) // 2
+    cases = [
+        (None, times[:-1]),                        # up to the horizon
+        (times[0], []),                            # no time elapses
+        (times[k], times[:k]),                     # exactly at an event time
+        ((times[k - 1] + times[k]) / 2, times[:k]),  # partial interval
+        (times[-1] + 2.5, times),                  # partial past the horizon
+    ]
+    for upto, starts in cases:
+        yielded = list(intervals(stream, alpha, upto))
+        assert [t for t, _, _ in yielded] == starts
+        end = stream.horizon if upto is None else upto
+        ends = [*starts[1:], end][:len(starts)]
+        assert [t + dt for t, dt, _ in yielded] == pytest.approx(ends)
+        for t, _, L in yielded:
+            assert np.max(np.abs(L - rec[t])) < 1e-12
