@@ -195,7 +195,7 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
                     ratio = shrinkage_ratio(M, Y).ratio
                 except DegenerateFiedlerError:
                     flags.append("degenerate_fiedler")
-                M = M @ Y.matrix
+                Y.apply(M)
             else:
                 flags.append("last_event_time")
             records.append(ExperimentRecord(

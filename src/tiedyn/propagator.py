@@ -13,33 +13,66 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsyevd
 
 from .events import Event, EventStream
 from .tie_decay import intervals
 
 _COLSUM_TOL = 1e-10
 _NEG_TOL = 1e-12
+# Ties with |c|*w below this are dropped: they move no entry of the factor
+# by more than rounding does.
+_DEAD_TIE = np.finfo(float).eps
+# Above this share of live nodes, all live nodes form one block and the
+# component search is skipped (chosen by timing the benchmark workloads).
+_DENSE_SHARE = 0.5
 
 
 @dataclass(frozen=True)
 class IntervalFactor:
-    """Column-stochastic map of opinions across one inter-event interval."""
+    """Column-stochastic map of opinions across one inter-event interval.
 
-    matrix: np.ndarray
+    The factor is the identity outside its diagonal blocks: ``blocks``
+    holds pairs ``(idx, Y)`` of disjoint node indices and the factor
+    restricted to them, so entry ``[idx[a], idx[b]]`` is ``Y[a, b]``.
+    ``idx`` is an index array, or ``slice(None)`` for a block of all N
+    nodes. The dense ``matrix`` is built only when it is read.
+    """
+
+    blocks: tuple[tuple[np.ndarray | slice, np.ndarray], ...]
+    node_count: int
     t_start: float
     t_end: float
 
     def __post_init__(self):
-        Y = self.matrix
-        if np.min(Y) < -_NEG_TOL:
-            raise ValueError(f"interval factor has entry {np.min(Y)} < -{_NEG_TOL}")
-        colsums = Y.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > _COLSUM_TOL:
-            raise ValueError("interval factor columns do not sum to 1")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError("interval factor times must be finite")
+        for _, Y in self.blocks:
+            # written so that NaN entries fail too
+            if not Y.min() >= -_NEG_TOL:
+                raise ValueError(f"interval factor has entry {Y.min()} < -{_NEG_TOL}")
+            if not abs(Y.sum(axis=0) - 1.0).max() <= _COLSUM_TOL:
+                raise ValueError("interval factor columns do not sum to 1")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N factor."""
+        Y = np.eye(self.node_count)
+        for idx, block in self.blocks:
+            Y[_square(idx)] = block
+        return Y
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        """Overwrite ``M`` (a row vector or a matrix) with ``M @ Y``, block
+        by block, and return it."""
+        for idx, block in self.blocks:
+            M[..., idx] = M[..., idx] @ block
+        return M
 
 
 @dataclass
@@ -57,30 +90,107 @@ def _stable_coefficient(delta_t: float, alpha: float) -> float:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential; spectral fast path for exactly symmetric input."""
-    if np.array_equal(A, A.T):
-        vals, vecs = np.linalg.eigh(A)
-        return (vecs * np.exp(vals)) @ vecs.T
-    return scipy.linalg.expm(A)
+    """exp(A) for a generator A: off-diagonals >= 0, columns summing to 0.
+
+    exp(A) maps 1^T to itself; both paths keep that to rounding of order
+    eps, whatever the norm of A.
+
+    Symmetric A: the Householder reflector H = I - beta v v^T with
+    v = 1/sqrt(n) + e1, which maps 1/sqrt(n) to -e1, deflates the null
+    vector: B = H A H has zero first row and column. ``eigh`` runs on the
+    trailing block, B22 = V Lambda V^T, and exp(A) = Z Z^T with
+    Z = H diag(1, V e^{Lambda/2}).
+
+    Other A: ``scipy.linalg.expm``, each column divided by its sum.
+    Unlike a rotation, this keeps exact zeros, so a triangular generator
+    (acyclic directed ties) keeps a triangular factor whose eigenvalues
+    are its diagonal.
+    """
+    n = A.shape[0]
+    if not (A == A.T).all():
+        E = scipy.linalg.expm(A)
+        E /= E.sum(axis=0)
+        return E
+    r = 1.0 / math.sqrt(n)
+    beta = 1.0 / (1.0 + r)  # 2 / (v @ v)
+    # rows and columns sum to 0, so A v = A[:, 0] and v^T A v = A[0, 0]:
+    # B22 = A22 - y 1^T - 1 y^T
+    y = (beta * r) * A[1:, 0] - 0.5 * (beta * r) ** 2 * A[0, 0]
+    B = A[1:, 1:] - y[:, None]
+    B -= y
+    # LAPACK directly: numpy's eigh costs more per call on small blocks;
+    # B.T is B's Fortran-ordered transpose, and only one triangle is read
+    vals, vecs, info = dsyevd(B.T, compute_v=1, lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    W = vecs * np.exp(0.5 * vals)
+    colsum = W.sum(axis=0)
+    Z = np.empty_like(A)
+    Z[:, 0] = r  # H e1 = -1/sqrt(n); the sign cancels in Z Z^T
+    Z[0, 1:] = -r * colsum
+    np.subtract(W, (beta * r * r) * colsum, out=Z[1:, 1:])
+    return Z @ Z.T
+
+
+def _square(idx: np.ndarray | slice) -> tuple:
+    """Index of the square sub-block on the nodes ``idx``."""
+    return (idx, idx) if isinstance(idx, slice) else (idx[:, None], idx)
+
+
+def _components(link: np.ndarray) -> list[np.ndarray]:
+    """Node sets of the connected components of a symmetric boolean
+    adjacency matrix, each in increasing order."""
+    k = link.shape[0]
+    labels = np.arange(k)
+    while True:
+        # smallest label among self and neighbours, then pointer jumping
+        new = np.where(link, labels, k).min(axis=1, initial=k)
+        np.minimum(new, labels, out=new)
+        new = new[new]
+        if (new == labels).all():
+            break
+        labels = new
+    roots = (labels == np.arange(k)).nonzero()[0]
+    return [(labels == root).nonzero()[0] for root in roots]
 
 
 def interval_factor(L: np.ndarray, delta_t: float, alpha: float,
                     t_start: float = 0.0) -> IntervalFactor:
-    """exp(c * L^T) with c = (e^{-alpha*dt} - 1)/alpha <= 0.
+    """exp(c * L^T) with c = (e^{-alpha*dt} - 1)/alpha <= 0, by blocks.
 
     -L^T has non-negative off-diagonals and zero column sums, so the
-    result is entrywise non-negative and column-stochastic.
+    result is entrywise non-negative and column-stochastic. Ties with
+    |c|*|L_ij| below double-precision epsilon are dropped, and the
+    factor is the identity on nodes without a live tie. Each connected
+    component of the live ties is one block; when more than
+    ``_DENSE_SHARE`` of the nodes are live, all live nodes form a
+    single block instead, without the component search.
     """
     if not np.all(np.isfinite(L)):
         raise ValueError("nonfinite Laplacian")
-    if delta_t < 0:
-        raise ValueError("delta_t must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    c = _stable_coefficient(delta_t, alpha)
-    Y = _expm(c * L.T)
-    np.clip(Y, 0.0, None, out=Y)
-    return IntervalFactor(Y, t_start, t_start + delta_t)
+    if not 0 <= delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and >= 0, got {delta_t}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    n = L.shape[0]
+    A = _stable_coefficient(delta_t, alpha) * L.T
+    keep = A >= _DEAD_TIE  # off-diagonal only: the diagonal is <= 0
+    nodes = (keep.any(axis=0) | keep.any(axis=1)).nonzero()[0]
+    A *= keep
+    A.flat[::n + 1] = -A.sum(axis=0)
+    if len(nodes) == n:
+        groups = [slice(None)]  # basic slicing: no gather or scatter
+    elif len(nodes) > _DENSE_SHARE * n:
+        groups = [nodes]
+    else:
+        live = keep[nodes[:, None], nodes]
+        groups = [nodes[c] for c in _components(live | live.T)]
+    blocks = []
+    for idx in groups:
+        Y = _expm(A[_square(idx)])
+        np.maximum(Y, 0.0, out=Y)
+        blocks.append((idx, Y))
+    return IntervalFactor(tuple(blocks), n, t_start, t_start + delta_t)
 
 
 def iter_factors(stream: EventStream, alpha: float,
@@ -102,7 +212,7 @@ def propagate(stream: EventStream, alpha: float,
     M = np.eye(stream.node_count)
     count = 0
     for fac in iter_factors(stream, alpha, upto):
-        M = M @ fac.matrix
+        fac.apply(M)
         count += 1
     return Propagator(M, upto, count)
 
@@ -110,13 +220,13 @@ def propagate(stream: EventStream, alpha: float,
 def evolve_opinions(x0: np.ndarray, stream: EventStream, alpha: float,
                     upto: float | None = None) -> np.ndarray:
     """x0 @ M(upto), applied one interval factor at a time."""
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     if x.shape != (stream.node_count,):
         raise ValueError(
             f"opinion vector has shape {x.shape}, stream has N={stream.node_count}"
         )
     for fac in iter_factors(stream, alpha, upto):
-        x = x @ fac.matrix
+        fac.apply(x)
     return x
 
 

@@ -150,10 +150,16 @@ def fiedler_left(M: np.ndarray) -> np.ndarray:
 
 def shrinkage_ratio(M_before: np.ndarray,
                     Y_next: IntervalFactor | np.ndarray) -> ShrinkageReport:
-    """How much the next interval factor shrinks the Fiedler vector."""
-    Y = Y_next.matrix if isinstance(Y_next, IntervalFactor) else np.asarray(Y_next)
+    """How much the next interval factor shrinks the Fiedler vector.
+
+    An ``IntervalFactor`` is applied block by block, without forming its
+    dense matrix.
+    """
     v2 = fiedler_left(M_before)
-    w2 = v2 @ Y
+    if isinstance(Y_next, IntervalFactor):
+        w2 = Y_next.apply(v2.copy())
+    else:
+        w2 = v2 @ np.asarray(Y_next)
     nv = np.linalg.norm(v2)
     nw = np.linalg.norm(w2)
     ratio = float(nw / nv)

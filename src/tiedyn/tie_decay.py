@@ -9,6 +9,7 @@ inter-event interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -50,29 +51,41 @@ class TieDecayState:
         return self.weights.shape[0]
 
 
+def _decay(w: np.ndarray, alpha: float, dt: float) -> None:
+    """Multiply weights in place by e^{-alpha*dt}, flushing tiny ones to 0."""
+    w *= np.exp(-alpha * dt)
+    w[w < _FLUSH_THRESHOLD] = 0.0
+
+
+def _bump(w: np.ndarray, events: Iterable[Event], directed: bool) -> None:
+    """Add 1 to the weight of every event's pair in place."""
+    for ev in events:
+        w[ev.source, ev.target] += 1.0
+        if not directed:
+            w[ev.target, ev.source] += 1.0
+
+
 def decay_to(state: TieDecayState, t: float) -> TieDecayState:
     """Decay all ties forward to time ``t`` (multiply by e^{-a*dt})."""
     if t < state.current_time:
         raise ValueError(
             f"cannot decay backwards: {t} < {state.current_time}"
         )
-    factor = np.exp(-state.alpha * (t - state.current_time))
-    w = state.weights * factor
-    w[w < _FLUSH_THRESHOLD] = 0.0
+    w = state.weights.copy()
+    _decay(w, state.alpha, t - state.current_time)
     return TieDecayState(w, t, state.alpha, state.directed)
 
 
 def apply_events(state: TieDecayState, events: Iterable[Event]) -> TieDecayState:
     """Bump tie strengths by 1 per event; events must be at current_time."""
-    w = state.weights.copy()
+    events = list(events)
     for ev in events:
         if ev.time != state.current_time:
             raise ValueError(
                 f"event at t={ev.time} applied to state at t={state.current_time}"
             )
-        w[ev.source, ev.target] += 1.0
-        if not state.directed:
-            w[ev.target, ev.source] += 1.0
+    w = state.weights.copy()
+    _bump(w, events, state.directed)
     return TieDecayState(w, state.current_time, state.alpha, state.directed)
 
 
@@ -95,20 +108,23 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
     defaults to the horizon. ``upto`` exactly at an event time means the
     events at that time are not applied (the walk stops just before
     them); a final partial interval covers any remaining open time.
+    Each ``L`` is a fresh array, never a view of the walk's weights.
     """
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     groups = group_event_times(stream)
     if upto is None:
         upto = stream.horizon
-    state = TieDecayState.zeros(stream.node_count, alpha, stream.directed,
-                                time=groups[0][0])
+    # the one weight matrix of the walk, decayed and bumped in place
+    w = np.zeros((stream.node_count, stream.node_count))
     t_prev: float | None = None
     for t_g, evs in groups:
         if t_g > upto or (t_prev is not None and t_g >= upto):
             break
         if t_prev is not None:
-            yield t_prev, t_g - t_prev, laplacian(state.weights)
-            state = decay_to(state, t_g)
-        state = apply_events(state, evs)
+            yield t_prev, t_g - t_prev, laplacian(w)
+            _decay(w, alpha, t_g - t_prev)
+        _bump(w, evs, stream.directed)
         t_prev = t_g
     if t_prev is not None and upto > t_prev:
-        yield t_prev, upto - t_prev, laplacian(state.weights)
+        yield t_prev, upto - t_prev, laplacian(w)

@@ -162,3 +162,33 @@ def test_laplacian_recursion_equivalence(seed):
         assert [t + dt for t, dt, _ in yielded] == pytest.approx(ends)
         for t, _, L in yielded:
             assert np.max(np.abs(L - rec[t])) < 1e-12
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_intervals_match_state_walk_bitwise(seed, directed):
+    # the in-place walk writes the same weights as decay_to/apply_events
+    alpha = 0.7
+    stream = make_random_stream(seed, directed=directed)
+    states = list(_evolve(stream, alpha))
+    yielded = list(intervals(stream, alpha))
+    assert len(yielded) == len(states) - 1
+    for (t, _, L), (t_state, state) in zip(yielded, states):
+        assert t == t_state
+        assert np.array_equal(L, laplacian(state.weights))
+
+
+def test_intervals_yield_fresh_arrays():
+    stream = make_random_stream(3)
+    Ls = [L for _, _, L in intervals(stream, 0.5)]
+    assert len(Ls) > 2
+    for a in range(len(Ls)):
+        for b in range(a + 1, len(Ls)):
+            assert not np.shares_memory(Ls[a], Ls[b])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_intervals_reject_bad_alpha(alpha):
+    stream = make_random_stream(0)
+    with pytest.raises(ValueError, match="alpha"):
+        next(intervals(stream, alpha))
