@@ -10,9 +10,9 @@ from .propagator import (IntervalFactor, Propagator, degroot_from_laplacian,
 from .randomize import (RandomizerSpec, interval_shuffle, member_seed,
                         random_edge_shuffle, random_times, randomize,
                         shuffle_time_stamps)
-from .spectral import (DegenerateFiedlerError, ShrinkageReport,
-                       SpectralSummary, eigendecompose, fiedler_left,
-                       shrinkage_ratio, spectral_gap)
+from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
+                       ShrinkageReport, SpectralSummary, eigendecompose,
+                       fiedler_left, shrinkage_ratio, spectral_gap)
 from .tie_decay import (TieDecayState, apply_events, decay_to, intervals,
                         laplacian)
 

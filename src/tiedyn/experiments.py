@@ -25,7 +25,8 @@ from .events import (EventStream, exclude_low_degree_nodes, format_float,
                      group_event_times, parse_events)
 from .propagator import iter_factors, propagate
 from .randomize import (METHODS, RandomizerSpec, member_seed, randomize)
-from .spectral import DegenerateFiedlerError, shrinkage_ratio, spectral_gap
+from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
+                       magnitude_spectrum, shrinkage_ratio, spectral_gap)
 
 SLOPE_DEAD_BAND = 1e-9
 
@@ -178,8 +179,13 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
     M(t_n) is the propagator just before the events at t_n; the
     shrinkage pairs it with the factor Y(t_n+) over the following
     interval. The final event time has no following interval and is
-    flagged; steps with a degenerate Fiedler direction are flagged
-    rather than guessed.
+    flagged; steps with a degenerate Fiedler direction or a numerically
+    defective eigenvector pair are flagged rather than guessed.
+
+    Each step solves for the eigenvalues of M(t_n) once. They give the
+    gap and the Fiedler separation test, so the eigenvector solve runs
+    only on rows whose |lambda_2| is separated from |lambda_1| and
+    |lambda_3|.
     """
     records: list[ExperimentRecord] = []
     groups = group_event_times(stream)
@@ -187,14 +193,18 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
         M = np.eye(stream.node_count)
         # one factor per group but the last, which has no following interval
         for (t_k, evs), Y in zip_longest(groups, iter_factors(stream, alpha)):
-            gap = spectral_gap(M)
+            spectrum = magnitude_spectrum(M)
+            gap = spectrum.gap()
             flags = []
             ratio = None
             if Y is not None:
                 try:
+                    spectrum.require_fiedler()
                     ratio = shrinkage_ratio(M, Y).ratio
                 except DegenerateFiedlerError:
                     flags.append("degenerate_fiedler")
+                except DefectiveEigenpairError:
+                    flags.append("defective_eigenpair")
                 Y.apply(M)
             else:
                 flags.append("last_event_time")

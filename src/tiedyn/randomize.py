@@ -18,6 +18,7 @@ and pinned by golden tests; the same seed always yields the same stream.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,9 +152,9 @@ def random_edge_shuffle(stream: EventStream, seed: int,
     def canonical(i: int, j: int) -> tuple[int, int]:
         return (i, j) if stream.directed else (min(i, j), max(i, j))
 
+    keys = sorted(edge_map)  # kept equal to sorted(edge_map) across swaps
     for _ in range(repetitions):
         for _attempt in range(_MAX_REWIRE_RETRIES):
-            keys = sorted(edge_map)
             a, b = rng.choice(len(keys), size=2, replace=False)
             (i, j), (ip, jp) = keys[a], keys[b]
             new1 = canonical(i, jp)
@@ -166,6 +167,10 @@ def random_edge_shuffle(stream: EventStream, seed: int,
             times2 = edge_map.pop((ip, jp))
             edge_map[new1] = times1
             edge_map[new2] = times2
+            del keys[max(a, b)]
+            del keys[min(a, b)]
+            insort(keys, new1)
+            insort(keys, new2)
             break
     return _rebuild(stream, sorted(edge_map.items()))
 

@@ -29,6 +29,11 @@ class DegenerateFiedlerError(SpectralError):
     distinguished Fiedler direction exists."""
 
 
+class DefectiveEigenpairError(SpectralError):
+    """A left/right eigenvector pair is numerically orthogonal (v.u ~ 0),
+    so it cannot be scaled to be biorthogonal."""
+
+
 @dataclass
 class SpectralSummary:
     """Magnitude-sorted spectrum with top-k biorthogonal eigenvector pairs.
@@ -101,7 +106,7 @@ def eigendecompose(M: np.ndarray, k: int = 2) -> SpectralSummary:
         v = np.conj(vl[:, i])
         inner = v @ u
         if abs(inner) < 1e-14:
-            raise SpectralError(
+            raise DefectiveEigenpairError(
                 f"eigenvector pair {i} is numerically defective (v.u ~ 0)"
             )
         cond.append(float(1.0 / abs(inner)))
@@ -111,40 +116,61 @@ def eigendecompose(M: np.ndarray, k: int = 2) -> SpectralSummary:
     return SpectralSummary(w, gap, rights, lefts, cond)
 
 
+class MagnitudeSpectrum:
+    """Eigenvalue magnitudes in descending order, and the two tests that
+    the gap and the Fiedler direction rest on."""
+
+    def __init__(self, eigenvalues: np.ndarray):
+        self.magnitudes = np.sort(np.abs(eigenvalues))[::-1]
+
+    def gap(self) -> float:
+        """1 - |lambda_2| of a valid propagator (|lambda_1| must be 1)."""
+        mags = self.magnitudes
+        if abs(mags[0] - 1.0) > _UNIT_EIG_TOL:
+            raise SpectralError(
+                f"largest eigenvalue magnitude {mags[0]} deviates from 1; "
+                "input is not a valid propagator"
+            )
+        if len(mags) < 2:
+            return 0.0
+        return float(np.clip(1.0 - mags[1], 0.0, 1.0))
+
+    def require_fiedler(self) -> None:
+        """Raise DegenerateFiedlerError unless |lambda_2| is separated from
+        |lambda_1| (a disconnected tie graph has gap 0) and from |lambda_3|."""
+        mags = self.magnitudes
+        if len(mags) < 2:
+            raise DegenerateFiedlerError("need at least 2 nodes")
+        if mags[0] - mags[1] < _DEGENERACY_TOL:
+            raise DegenerateFiedlerError(
+                f"|lambda_1|={mags[0]} and |lambda_2|={mags[1]} are degenerate"
+            )
+        if len(mags) > 2 and mags[1] - mags[2] < _DEGENERACY_TOL:
+            raise DegenerateFiedlerError(
+                f"|lambda_2|={mags[1]} and |lambda_3|={mags[2]} are degenerate"
+            )
+
+
+def magnitude_spectrum(M: np.ndarray) -> MagnitudeSpectrum:
+    """Eigenvalue magnitudes of M from an eigenvalue-only solve."""
+    return MagnitudeSpectrum(scipy.linalg.eigvals(np.asarray(M, dtype=float)))
+
+
 def spectral_gap(M: np.ndarray) -> float:
     """1 - |lambda_2| of a valid propagator (|lambda_1| must be 1)."""
-    M = np.asarray(M, dtype=float)
-    w = scipy.linalg.eigvals(M)
-    mags = np.sort(np.abs(w))[::-1]
-    if abs(mags[0] - 1.0) > _UNIT_EIG_TOL:
-        raise SpectralError(
-            f"largest eigenvalue magnitude {mags[0]} deviates from 1; "
-            "input is not a valid propagator"
-        )
-    if len(mags) < 2:
-        return 0.0
-    return float(np.clip(1.0 - mags[1], 0.0, 1.0))
+    return magnitude_spectrum(M).gap()
 
 
 def fiedler_left(M: np.ndarray) -> np.ndarray:
     """Left eigenvector for the second-largest-magnitude eigenvalue.
 
-    Raises DegenerateFiedlerError when |lambda_2| is not separated from
-    |lambda_1| (a disconnected tie graph, gap 0) or from |lambda_3|, since
-    no distinguished Fiedler direction exists then.
+    Raises DegenerateFiedlerError when no distinguished Fiedler direction
+    exists (see ``MagnitudeSpectrum.require_fiedler``), and
+    DefectiveEigenpairError when one of the top two eigenvector pairs
+    is numerically defective.
     """
     summary = eigendecompose(M, k=min(2, M.shape[0]))
-    if M.shape[0] < 2:
-        raise DegenerateFiedlerError("need at least 2 nodes")
-    mags = np.abs(summary.eigenvalues)
-    if mags[0] - mags[1] < _DEGENERACY_TOL:
-        raise DegenerateFiedlerError(
-            f"|lambda_1|={mags[0]} and |lambda_2|={mags[1]} are degenerate"
-        )
-    if len(mags) > 2 and mags[1] - mags[2] < _DEGENERACY_TOL:
-        raise DegenerateFiedlerError(
-            f"|lambda_2|={mags[1]} and |lambda_3|={mags[2]} are degenerate"
-        )
+    MagnitudeSpectrum(summary.eigenvalues).require_fiedler()
     return summary.left_vectors[1]
 
 

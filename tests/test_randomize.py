@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tiedyn.events import parse_events, serialize_events
+from tiedyn.events import Event, EventStream, parse_events, serialize_events
 from tiedyn.randomize import (RandomizerSpec, default_repetitions,
                               interval_shuffle, member_seed,
                               random_edge_shuffle, random_times, randomize,
@@ -206,3 +206,60 @@ def test_member_seed_split_rule():
     assert member_seed(5, 3) == member_seed(5, 3)
     expected = int(np.random.SeedSequence([5, 3]).generate_state(1)[0])
     assert member_seed(5, 3) == expected
+
+
+# --- random edge shuffling against the re-sort-every-retry loop -------------
+
+def reference_edge_shuffle(stream, seed):
+    """Reference rewire loop that re-sorts every edge key on every retry.
+    Returns the stream and the (retries, skipped swaps) it took."""
+    edge_map = {k: sorted(v) for k, v in sorted(stream.edge_event_index().items())}
+    rng = np.random.default_rng(seed)
+    retries = skipped = 0
+
+    def canonical(i, j):
+        return (i, j) if stream.directed else (min(i, j), max(i, j))
+
+    for _ in range(default_repetitions(stream)):
+        for _attempt in range(100):
+            keys = sorted(edge_map)
+            a, b = rng.choice(len(keys), size=2, replace=False)
+            (i, j), (ip, jp) = keys[a], keys[b]
+            new1, new2 = canonical(i, jp), canonical(ip, j)
+            if (i == jp or ip == j or new1 == new2
+                    or new1 in edge_map or new2 in edge_map):
+                retries += 1
+                continue
+            edge_map[new1] = edge_map.pop((i, j))
+            edge_map[new2] = edge_map.pop((ip, jp))
+            break
+        else:
+            skipped += 1
+    events = [Event(t, i, j) for (i, j), times in sorted(edge_map.items())
+              for t in times]
+    return stream.replace_events(events), retries, skipped
+
+
+def dense_stream(directed):
+    """Every pair of 6 nodes but a perfect matching, one event per edge at
+    distinct times: most rewire draws hit an existing edge, and some swaps
+    find no free pair within the retry bound."""
+    pairs = [(i, j) for i in range(6) for j in range(6)
+             if i != j and (directed or i < j) and {i, j} not in ({0, 3}, {1, 4}, {2, 5})]
+    events = tuple(Event(float(t), i, j) for t, (i, j) in enumerate(pairs))
+    return EventStream(events, 6, tuple("abcdef"), directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_random_edge_shuffle_matches_reference_loop(directed):
+    dense = dense_stream(directed)
+    retries = skipped = 0
+    for seed in range(10):
+        want, r, k = reference_edge_shuffle(dense, seed)
+        retries, skipped = retries + r, skipped + k
+        assert random_edge_shuffle(dense, seed) == want
+        s = make_random_stream(seed, n_max=8, max_events=40, directed=directed)
+        if len(s.edge_event_index()) >= 2:
+            assert random_edge_shuffle(s, seed) == reference_edge_shuffle(s, seed)[0]
+    assert retries > 0
+    assert 0 < skipped < 10 * default_repetitions(dense)
