@@ -21,11 +21,10 @@ for label, name in (("A (repeat edge 0-1)", "fig5_case_a"),
     stream = parse_events((fixtures / f"{name}.txt").read_text())
     M1 = propagate(stream, alpha, upto=1.0).matrix
     Y = list(iter_factors(stream, alpha, upto=2.0))[-1]
-    rep = shrinkage_ratio(M1, Y)
+    ratio = shrinkage_ratio(M1, Y)
     gap2 = spectral_gap(propagate(stream, alpha, upto=2.0).matrix)
     print(f"case {label}")
-    print(f"  shrinkage ||w2||/||v2|| = {rep.ratio:.3f}")
-    print(f"  alignment cosine        = {rep.cosine:.3f}")
+    print(f"  shrinkage ||w2||/||v2|| = {ratio:.3f}")
     print(f"  gap of M(2)             = {gap2:.3f}\n")
 
 print("smaller shrinkage ratio <=> larger gap of M(2)")

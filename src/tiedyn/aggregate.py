@@ -9,7 +9,6 @@ which is evaluated in closed form with expm1 for stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +17,10 @@ from .propagator import _expm
 from .tie_decay import laplacian
 
 
-@dataclass(frozen=True)
-class AggregateNetwork:
-    """Static weighted network with the same time-averaged tie weights."""
-
-    weights: np.ndarray
-    alpha: float
-    horizon: float
-
-
-def aggregate_weights(stream: EventStream, alpha: float) -> AggregateNetwork:
+def aggregate_weights(stream: EventStream, alpha: float) -> np.ndarray:
     """Closed-form time-averaged tie weight for every node pair."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     T = stream.horizon
     if T <= 0:
         raise ValueError("aggregation needs a positive time horizon")
@@ -41,13 +31,13 @@ def aggregate_weights(stream: EventStream, alpha: float) -> AggregateNetwork:
         w[ev.source, ev.target] += contrib
         if not stream.directed:
             w[ev.target, ev.source] += contrib
-    return AggregateNetwork(w, alpha, T)
+    return w
 
 
-def aggregate_propagator(agg: AggregateNetwork, t: float) -> np.ndarray:
+def aggregate_propagator(weights: np.ndarray, t: float) -> np.ndarray:
     """exp(-t L^T): the opinion map under the constant aggregate Laplacian."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    M = _expm(-t * laplacian(agg.weights).T)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    M = _expm(-t * laplacian(weights).T)
     np.clip(M, 0.0, None, out=M)
     return M

@@ -51,6 +51,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.ensemble < 1:
             raise ValueError("ensemble size must be >= 1")
+        if self.min_edges < 0:
+            raise ValueError(f"min-edges must be >= 0, got {self.min_edges}")
         if not all(0 < a < math.inf for a in self.alphas):
             raise ValueError("alpha values must be positive and finite")
         for m in self.methods:
@@ -200,7 +202,7 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
             if Y is not None:
                 try:
                     spectrum.require_fiedler()
-                    ratio = shrinkage_ratio(M, Y).ratio
+                    ratio = shrinkage_ratio(M, Y)
                 except DegenerateFiedlerError:
                     flags.append("degenerate_fiedler")
                 except DefectiveEigenpairError:

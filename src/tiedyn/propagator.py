@@ -21,7 +21,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dsyevd
 
 from .events import Event, EventStream
-from .tie_decay import intervals
+from .tie_decay import apply_events, intervals
 
 _COLSUM_TOL = 1e-10
 _NEG_TOL = 1e-12
@@ -82,8 +82,6 @@ class Propagator:
     """Accumulated opinion map M(t): x(t) = x(0) @ M."""
 
     matrix: np.ndarray
-    time: float
-    n_intervals: int
 
 
 def _stable_coefficient(delta_t: float, alpha: float) -> float:
@@ -202,14 +200,10 @@ def iter_factors(stream: EventStream, alpha: float,
 def propagate(stream: EventStream, alpha: float,
               upto: float | None = None) -> Propagator:
     """Accumulate M(upto) as the time-ordered product of interval factors."""
-    if upto is None:
-        upto = stream.horizon
     M = np.eye(stream.node_count)
-    count = 0
     for fac in iter_factors(stream, alpha, upto):
         fac.apply(M)
-        count += 1
-    return Propagator(M, upto, count)
+    return Propagator(M)
 
 
 def evolve_opinions(x0: np.ndarray, stream: EventStream, alpha: float,
@@ -304,9 +298,6 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
     decay = math.exp(-alpha * delta_t)
     for k in range(steps):
         A_tilde = A_tilde * decay
-        for ev in per_step.get(k, ()):
-            A_tilde[ev.source, ev.target] += 1.0
-            if not stream.directed:
-                A_tilde[ev.target, ev.source] += 1.0
+        apply_events(A_tilde, per_step.get(k, ()), stream.directed)
         y = y @ degroot_transition(A_tilde)
     return y

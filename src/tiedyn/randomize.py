@@ -44,11 +44,10 @@ _MAX_REWIRE_RETRIES = 100
 
 @dataclass(frozen=True)
 class RandomizerSpec:
-    """Which method to run, its seed, and the swap-repetition count."""
+    """Which method to run, and its seed."""
 
     method: str
     seed: int
-    repetitions: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -149,16 +148,13 @@ def random_edge_shuffle(stream: EventStream, seed: int,
         repetitions = default_repetitions(stream)
     rng = np.random.default_rng(seed)
 
-    def canonical(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if stream.directed else (min(i, j), max(i, j))
-
     keys = sorted(edge_map)  # kept equal to sorted(edge_map) across swaps
     for _ in range(repetitions):
         for _attempt in range(_MAX_REWIRE_RETRIES):
             a, b = rng.choice(len(keys), size=2, replace=False)
             (i, j), (ip, jp) = keys[a], keys[b]
-            new1 = canonical(i, jp)
-            new2 = canonical(ip, j)
+            new1 = stream.edge_key(i, jp)
+            new2 = stream.edge_key(ip, j)
             if i == jp or ip == j:
                 continue  # self-loop
             if new1 == new2 or new1 in edge_map or new2 in edge_map:
@@ -180,7 +176,7 @@ def randomize(stream: EventStream, spec: RandomizerSpec) -> EventStream:
     if spec.method == "interval_shuffling":
         return interval_shuffle(stream, spec.seed)
     if spec.method == "shuffled_time_stamps":
-        return shuffle_time_stamps(stream, spec.seed, spec.repetitions)
+        return shuffle_time_stamps(stream, spec.seed)
     if spec.method == "random_times":
         return random_times(stream, spec.seed)
-    return random_edge_shuffle(stream, spec.seed, spec.repetitions)
+    return random_edge_shuffle(stream, spec.seed)

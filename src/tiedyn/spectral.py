@@ -36,28 +36,17 @@ class DefectiveEigenpairError(SpectralError):
 
 @dataclass
 class SpectralSummary:
-    """Magnitude-sorted spectrum with top-k biorthogonal eigenvector pairs.
+    """Magnitude-sorted spectrum with the top two biorthogonal eigenvector
+    pairs (one pair when N = 1).
 
     ``right_vectors[i]`` is a unit column eigenvector u_i (phase fixed so
     its largest-magnitude component is real-positive); ``left_vectors[i]``
     is the row eigenvector v_i scaled so that v_i @ u_i = 1.
-    ``condition[i]`` is the eigenvalue condition number 1/|v_i u_i| before
-    rescaling; large values flag near-defective pairs.
     """
 
     eigenvalues: np.ndarray
-    gap: float
     right_vectors: list[np.ndarray]
     left_vectors: list[np.ndarray]
-    condition: list[float]
-
-
-@dataclass
-class ShrinkageReport:
-    """||w2||/||v2|| with w2 = v2 @ Y, plus the alignment cosine."""
-
-    ratio: float
-    cosine: float
 
 
 def _sort_order(eigenvalues: np.ndarray) -> np.ndarray:
@@ -75,14 +64,12 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
     return u * (abs(pivot) / pivot)
 
 
-def eigendecompose(M: np.ndarray, k: int = 2) -> SpectralSummary:
-    """Full complex spectrum plus top-k biorthogonal eigenvector pairs."""
+def eigendecompose(M: np.ndarray) -> SpectralSummary:
+    """Full complex spectrum plus the top min(2, N) biorthogonal
+    eigenvector pairs."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise SpectralError("nonfinite matrix entries")
-    n = M.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range for N={n}")
     try:
         w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
     except Exception as exc:  # pragma: no cover - LAPACK failure path
@@ -93,13 +80,9 @@ def eigendecompose(M: np.ndarray, k: int = 2) -> SpectralSummary:
     vl = vl[:, order]
     vr = vr[:, order]
 
-    mags = np.abs(w)
-    gap = float(np.clip(mags[0] - (mags[1] if n > 1 else 0.0), 0.0, 1.0))
-
     rights: list[np.ndarray] = []
     lefts: list[np.ndarray] = []
-    cond: list[float] = []
-    for i in range(k):
+    for i in range(min(2, M.shape[0])):
         u = _fix_phase(vr[:, i])
         u = u / np.linalg.norm(u)
         # scipy returns vl with vl[:,i]^H M = w_i vl[:,i]^H
@@ -109,11 +92,9 @@ def eigendecompose(M: np.ndarray, k: int = 2) -> SpectralSummary:
             raise DefectiveEigenpairError(
                 f"eigenvector pair {i} is numerically defective (v.u ~ 0)"
             )
-        cond.append(float(1.0 / abs(inner)))
-        v = v / inner
         rights.append(u)
-        lefts.append(v)
-    return SpectralSummary(w, gap, rights, lefts, cond)
+        lefts.append(v / inner)
+    return SpectralSummary(w, rights, lefts)
 
 
 class MagnitudeSpectrum:
@@ -169,14 +150,15 @@ def fiedler_left(M: np.ndarray) -> np.ndarray:
     DefectiveEigenpairError when one of the top two eigenvector pairs
     is numerically defective.
     """
-    summary = eigendecompose(M, k=min(2, M.shape[0]))
+    summary = eigendecompose(M)
     MagnitudeSpectrum(summary.eigenvalues).require_fiedler()
     return summary.left_vectors[1]
 
 
 def shrinkage_ratio(M_before: np.ndarray,
-                    Y_next: IntervalFactor | np.ndarray) -> ShrinkageReport:
-    """How much the next interval factor shrinks the Fiedler vector.
+                    Y_next: IntervalFactor | np.ndarray) -> float:
+    """||v2 Y|| / ||v2||: how much the next interval factor shrinks the
+    Fiedler vector.
 
     An ``IntervalFactor`` is applied block by block, without forming its
     dense matrix.
@@ -186,11 +168,4 @@ def shrinkage_ratio(M_before: np.ndarray,
         w2 = Y_next.apply(v2.copy())
     else:
         w2 = v2 @ np.asarray(Y_next)
-    nv = np.linalg.norm(v2)
-    nw = np.linalg.norm(w2)
-    ratio = float(nw / nv)
-    if nw == 0:
-        cosine = 0.0
-    else:
-        cosine = float(np.real(w2 @ np.conj(v2)) / (nw * nv))
-    return ShrinkageReport(ratio, cosine)
+    return float(np.linalg.norm(w2) / np.linalg.norm(v2))

@@ -10,7 +10,6 @@ inter-event interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,73 +19,25 @@ from .events import Event, EventStream, group_event_times
 # Weights this small are flushed to exact zero to avoid subnormal drag.
 _FLUSH_THRESHOLD = 1e-300
 
-
-@dataclass(frozen=True)
-class TieDecayState:
-    """Weighted adjacency of the tie-decay network at ``current_time``."""
-
-    weights: np.ndarray
-    current_time: float
-    alpha: float
-    directed: bool = False
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        w = self.weights
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix")
-        if np.any(w < 0):
-            raise ValueError("negative tie strength")
-        if np.any(np.diag(w) != 0):
-            raise ValueError("nonzero diagonal in tie strengths")
-
-    @classmethod
-    def zeros(cls, n: int, alpha: float, directed: bool = False,
-              time: float = 0.0) -> "TieDecayState":
-        return cls(np.zeros((n, n)), time, alpha, directed)
-
-    @property
-    def node_count(self) -> int:
-        return self.weights.shape[0]
+# decay_to and apply_events are the walk's two in-place kernels. bench/trace.py
+# wraps them by name, and ``intervals`` calls them through the module globals,
+# so the wrappers see every call.
 
 
-def _decay(w: np.ndarray, alpha: float, dt: float) -> None:
+def decay_to(w: np.ndarray, alpha: float, dt: float) -> None:
     """Multiply weights in place by e^{-alpha*dt}, flushing tiny ones to 0."""
+    if dt < 0:
+        raise ValueError(f"cannot decay backwards: dt = {dt} < 0")
     w *= np.exp(-alpha * dt)
     w[w < _FLUSH_THRESHOLD] = 0.0
 
 
-def _bump(w: np.ndarray, events: Iterable[Event], directed: bool) -> None:
-    """Add 1 to the weight of every event's pair in place."""
+def apply_events(w: np.ndarray, events: Iterable[Event], directed: bool) -> None:
+    """Add 1 in place to the weight of every event's pair."""
     for ev in events:
         w[ev.source, ev.target] += 1.0
         if not directed:
             w[ev.target, ev.source] += 1.0
-
-
-def decay_to(state: TieDecayState, t: float) -> TieDecayState:
-    """Decay all ties forward to time ``t`` (multiply by e^{-a*dt})."""
-    if t < state.current_time:
-        raise ValueError(
-            f"cannot decay backwards: {t} < {state.current_time}"
-        )
-    w = state.weights.copy()
-    _decay(w, state.alpha, t - state.current_time)
-    return TieDecayState(w, t, state.alpha, state.directed)
-
-
-def apply_events(state: TieDecayState, events: Iterable[Event]) -> TieDecayState:
-    """Bump tie strengths by 1 per event; events must be at current_time."""
-    events = list(events)
-    for ev in events:
-        if ev.time != state.current_time:
-            raise ValueError(
-                f"event at t={ev.time} applied to state at t={state.current_time}"
-            )
-    w = state.weights.copy()
-    _bump(w, events, state.directed)
-    return TieDecayState(w, state.current_time, state.alpha, state.directed)
 
 
 def laplacian(weights: np.ndarray) -> np.ndarray:
@@ -123,8 +74,8 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
             break
         if t_prev is not None:
             yield t_prev, t_g - t_prev, laplacian(w)
-            _decay(w, alpha, t_g - t_prev)
-        _bump(w, evs, stream.directed)
+            decay_to(w, alpha, t_g - t_prev)
+        apply_events(w, evs, stream.directed)
         t_prev = t_g
     if t_prev is not None and upto > t_prev:
         yield t_prev, upto - t_prev, laplacian(w)

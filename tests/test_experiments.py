@@ -161,7 +161,7 @@ def test_time_series_fig5_style_anticorrelation():
         M1 = propagate(s, 1.0, upto=1.0).matrix
         last = list(iter_factors(s, 1.0, upto=2.0))[-1]
         results[name] = (
-            shrinkage_ratio(M1, last).ratio,
+            shrinkage_ratio(M1, last),
             spectral_gap(propagate(s, 1.0, upto=2.0).matrix),
         )
     ratio_a, gap_a = results["fig5_case_a"]
@@ -292,3 +292,16 @@ def test_cli_min_edges_filter(tmp_path):
     rc = cli_main(["--input", str(inp), "--mode", "time-series",
                    "--alpha", "1", "--min-edges", "2", "--out", str(out)])
     assert rc == 0
+
+
+def test_cli_negative_min_edges_fails(tmp_path, capsys):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    out = tmp_path / "o.csv"
+    rc = cli_main(["--input", str(inp), "--mode", "alpha-sweep",
+                   "--alpha", "1", "--min-edges", "-3", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: min-edges must be >= 0")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -61,9 +61,9 @@ def count_eigendecompose(monkeypatch):
     calls = []
     original = spectral.eigendecompose
 
-    def counted(M, k=2):
-        calls.append(k)
-        return original(M, k)
+    def counted(M):
+        calls.append(M)
+        return original(M)
 
     monkeypatch.setattr(spectral, "eigendecompose", counted)
     return calls
@@ -82,7 +82,7 @@ def test_time_series_rows_equal_public_functions(name, alpha):
             assert r.flags == "last_event_time"
         elif r.shrinkage_ratio is not None:
             assert r.flags == ""
-            assert r.shrinkage_ratio == shrinkage_ratio(M, Y).ratio
+            assert r.shrinkage_ratio == shrinkage_ratio(M, Y)
         else:
             assert r.flags == "degenerate_fiedler"
             with pytest.raises(DegenerateFiedlerError):
@@ -123,11 +123,11 @@ def test_defective_rows_are_flagged_and_the_run_goes_on(monkeypatch):
     original = spectral.eigendecompose
     calls = []
 
-    def every_other_defective(M, k=2):
-        calls.append(k)
+    def every_other_defective(M):
+        calls.append(M)
         if len(calls) % 2:
             raise DefectiveEigenpairError("eigenvector pair 0 is numerically defective")
-        return original(M, k)
+        return original(M)
 
     monkeypatch.setattr(spectral, "eigendecompose", every_other_defective)
     stream = make_random_stream(0)
