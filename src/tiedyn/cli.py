@@ -3,10 +3,12 @@
 Usage:
     tiedyn --input events.txt --mode alpha-sweep --alpha-grid 1e-3:1e2:50 --out sweep.csv
 
-A flat key=value config file can supply any flag (keys match the flag
-names without the leading dashes); flags given on the command line
-override the file. Exit code is 0 on success; errors print a single
-line to stderr and exit nonzero.
+A flat key=value config file can supply any flag: keys are the flag
+names without the leading dashes, and each line goes through the flag
+parser as ``--key=value``. ``directed`` takes true/false, 1/0 or yes/no.
+Flags given on the command line override the file. Exit code is 0 on
+success; every error, from a flag or a file line, prints a single line
+to stderr (naming ``file:line`` for a file line) and exits 1.
 """
 
 from __future__ import annotations
@@ -20,16 +22,27 @@ import numpy as np
 from .experiments import ExperimentConfig, run
 from .randomize import METHOD_CODES, METHODS
 
-_MODE_NAMES = {
-    "ensemble": "ensemble",
-    "alpha-sweep": "alpha_sweep",
-    "time-series": "time_series",
-    "aggregate-compare": "aggregate_compare",
-}
+_MODES = ["aggregate-compare", "alpha-sweep", "ensemble", "time-series"]
+_TRUE, _FALSE = ("true", "1", "yes"), ("false", "0", "no")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a parse error instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _parse_alpha_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    alphas = []
+    for tok in filter(None, text.split(",")):
+        try:
+            alphas.append(float(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad alpha {tok!r}") from None
+    if not alphas:
+        raise argparse.ArgumentTypeError(f"no alpha values in {text!r}")
+    return alphas
 
 
 def _parse_alpha_grid(text: str) -> list[float]:
@@ -54,87 +67,67 @@ def _parse_methods(text: str) -> list[str]:
         f"unknown method {text!r}; use is, sts, rt, res, or all")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(parser: argparse.ArgumentParser,
+                      path: str) -> argparse.Namespace:
+    """Parse each ``key=value`` line as the flag ``--key=value``."""
+    ns = argparse.Namespace()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+            key, eq, value = (s.strip() for s in stripped.partition("="))
+            try:
+                if not eq:
+                    raise ValueError("expected key=value")
+                tokens = [f"--{key}={value}"]
+                if key == "directed" and value.lower() in _TRUE + _FALSE:
+                    tokens = ["--directed"] if value.lower() in _TRUE else []
+                parser.parse_args(tokens, namespace=ns)
+                if ns.config is not None:  # also catches abbreviations
+                    raise ValueError("config files do not nest")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return ns
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tiedyn",
         description="Spectral-gap experiments for opinion dynamics on "
                     "tie-decay networks built from event streams.")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--input", help="event-list file (t i j per line)")
-    p.add_argument("--mode", choices=sorted(_MODE_NAMES))
-    p.add_argument("--alpha", type=_parse_alpha_list, metavar="A[,A...]",
-                   help="comma-separated decay rates")
+    p.add_argument("--mode", choices=_MODES, default="alpha-sweep")
+    p.add_argument("--alpha", dest="alphas", type=_parse_alpha_list,
+                   metavar="A[,A...]", help="comma-separated decay rates")
     p.add_argument("--alpha-grid", type=_parse_alpha_grid, metavar="LO:HI:POINTS",
                    help="log-spaced decay-rate grid")
-    p.add_argument("--method", type=_parse_methods, metavar="{is,sts,rt,res,all}",
+    p.add_argument("--method", dest="methods", type=_parse_methods,
+                   metavar="{is,sts,rt,res,all}",
                    help="randomization method(s) for ensemble mode")
     p.add_argument("--ensemble", type=int, help="ensemble size (default 50)")
     p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
     p.add_argument("--min-edges", type=int,
                    help="drop nodes with fewer distinct incident edges")
-    p.add_argument("--directed", action="store_true", default=None,
+    p.add_argument("--directed", action="store_true",
                    help="treat events as directed")
     p.add_argument("--out", help="output CSV path")
     return p
 
 
 def config_from_args(argv: list[str] | None = None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag: str, cli_value, convert=lambda x: x):
-        if cli_value is not None:
-            return cli_value
-        if flag in file_values:
-            return convert(file_values[flag])
-        return None
-
-    mode = pick("mode", args.mode)
-    alphas = pick("alpha", args.alpha, _parse_alpha_list)
-    grid = pick("alpha-grid", args.alpha_grid, _parse_alpha_grid)
-    if grid is not None and alphas is None:
-        alphas = grid
-    if mode == "alpha-sweep" and alphas is None:
-        alphas = _parse_alpha_grid("1e-3:1e2:30")
-
-    kwargs = {}
-    if pick("input", args.input) is not None:
-        kwargs["input"] = pick("input", args.input)
-    if mode is not None:
-        kwargs["mode"] = _MODE_NAMES[mode]
-    if alphas is not None:
-        kwargs["alphas"] = alphas
-    methods = pick("method", args.method, _parse_methods)
-    if methods is not None:
-        kwargs["methods"] = methods
-    for flag, value, convert in [
-        ("ensemble", args.ensemble, int),
-        ("seed", args.seed, int),
-        ("min-edges", args.min_edges, int),
-        ("out", args.out, str),
-    ]:
-        v = pick(flag, value, convert)
-        if v is not None:
-            kwargs[flag.replace("-", "_")] = v
-    directed = pick("directed", args.directed,
-                    lambda s: s.lower() in ("1", "true", "yes"))
-    if directed is not None:
-        kwargs["directed"] = directed
-    return ExperimentConfig(**kwargs)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:  # the file first, then the command line over it
+        args = parser.parse_args(argv, _read_config_file(parser, args.config))
+    if args.alphas is None:
+        args.alphas = args.alpha_grid
+    if args.alphas is None and args.mode == "alpha-sweep":
+        args.alphas = _parse_alpha_grid("1e-3:1e2:30")
+    args.mode = args.mode.replace("-", "_")
+    del args.config, args.alpha_grid
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -45,12 +45,8 @@ class IntervalFactor:
 
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     node_count: int
-    t_start: float
-    t_end: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("interval factor times must be finite")
         for _, Y in self.blocks:
             # written so that NaN entries fail too
             if not Y.min() >= -_NEG_TOL:
@@ -149,8 +145,7 @@ def _components(link: np.ndarray) -> list[np.ndarray]:
     return [(labels == root).nonzero()[0] for root in roots]
 
 
-def interval_factor(L: np.ndarray, delta_t: float, alpha: float,
-                    t_start: float = 0.0) -> IntervalFactor:
+def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFactor:
     """exp(c * L^T) with c = (e^{-alpha*dt} - 1)/alpha <= 0, by blocks.
 
     -L^T has non-negative off-diagonals and zero column sums, so the
@@ -183,7 +178,7 @@ def interval_factor(L: np.ndarray, delta_t: float, alpha: float,
         Y = _expm(A if len(idx) == n else A[np.ix_(idx, idx)])
         np.maximum(Y, 0.0, out=Y)
         blocks.append((idx, Y))
-    return IntervalFactor(tuple(blocks), n, t_start, t_start + delta_t)
+    return IntervalFactor(tuple(blocks), n)
 
 
 def iter_factors(stream: EventStream, alpha: float,
@@ -193,8 +188,8 @@ def iter_factors(stream: EventStream, alpha: float,
     The intervals, and the ``upto`` rule, are those of
     ``tie_decay.intervals``.
     """
-    for t_start, dt, L in intervals(stream, alpha, upto):
-        yield interval_factor(L, dt, alpha, t_start=t_start)
+    for _, dt, L in intervals(stream, alpha, upto):
+        yield interval_factor(L, dt, alpha)
 
 
 def propagate(stream: EventStream, alpha: float,
@@ -261,14 +256,6 @@ def degroot_transition(weights: np.ndarray) -> np.ndarray:
     nz = colsums > 0
     B[:, nz] = weights[:, nz] / colsums[nz]
     return B
-
-
-def degroot_from_laplacian(L: np.ndarray, t_prev: float, t_next: float,
-                           alpha: float) -> IntervalFactor:
-    """The DeGroot transition over [t_prev, t_next]: the interval factor."""
-    if t_next < t_prev:
-        raise ValueError("t_next must be >= t_prev")
-    return interval_factor(L, t_next - t_prev, alpha, t_start=t_prev)
 
 
 def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,

@@ -286,13 +286,6 @@ def test_propagate_rejects_nonfinite_alpha(alpha):
         propagate(s, alpha)
 
 
-@pytest.mark.parametrize("t_start,t_end", [(0.0, math.nan), (math.inf, math.inf),
-                                           (0.0, math.inf)])
-def test_interval_factor_rejects_nonfinite_times(t_start, t_end):
-    with pytest.raises(ValueError, match="finite"):
-        IntervalFactor((), 2, t_start, t_end)
-
-
 @pytest.mark.parametrize("block", [
     np.full((2, 2), np.nan),
     np.array([[1.5, 0.5], [-0.5, 0.5]]),
@@ -300,7 +293,7 @@ def test_interval_factor_rejects_nonfinite_times(t_start, t_end):
 ])
 def test_interval_factor_validates_each_block(block):
     with pytest.raises(ValueError):
-        IntervalFactor(((np.array([0, 1]), block),), 3, 0.0, 1.0)
+        IntervalFactor(((np.array([0, 1]), block),), 3)
 
 
 # ---------------------------------------------------------------------------

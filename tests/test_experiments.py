@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tiedyn.cli import _parse_alpha_grid, main as cli_main
+from tiedyn.cli import (_parse_alpha_grid, _parse_alpha_list, config_from_args,
+                        main as cli_main)
 from tiedyn.events import parse_events
 from tiedyn.experiments import (CSV_HEADER, ExperimentConfig,
                                 positive_slope_flags, records_to_csv, run,
@@ -221,6 +222,20 @@ def test_cli_rejects_nonfinite_alpha(tmp_path, capsys, bad):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_config_rejects_empty_alphas():
+    with pytest.raises(ValueError, match="at least one alpha"):
+        ExperimentConfig(alphas=[])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1,abc", "bad alpha 'abc'"), ("0.1,1e", "bad alpha '1e'"),
+    (",,", "no alpha values"), ("", "no alpha values"),
+])
+def test_alpha_list_rejects_bad_and_empty(text, message):
+    with pytest.raises(argparse.ArgumentTypeError, match=message):
+        _parse_alpha_list(text)
+
+
 @pytest.mark.parametrize("spec", ["1:inf:5", "nan:1:5", "1:nan:5", "inf:inf:3"])
 def test_alpha_grid_rejects_nonfinite_bounds(spec):
     with pytest.raises(argparse.ArgumentTypeError, match="finite"):
@@ -305,3 +320,83 @@ def test_cli_negative_min_edges_fails(tmp_path, capsys):
     assert err.startswith("error: min-edges must be >= 0")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_default_mode_is_the_sweep_with_its_grid(tmp_path):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    bare = config_from_args(["--input", str(inp)])
+    assert bare == config_from_args(["--input", str(inp), "--mode", "alpha-sweep"])
+    assert bare.mode == "alpha_sweep"
+    assert bare.alphas == _parse_alpha_grid("1e-3:1e2:30")
+
+
+# every flag, given once on the command line and once as a config-file line
+FLAG_AND_LINE = [
+    (["--input", "events.txt"], "input=events.txt"),
+    (["--mode", "time-series"], "mode=time-series"),
+    (["--alpha", "0.5,2"], "alpha=0.5,2"),
+    (["--alpha-grid", "1:100:5"], "alpha-grid=1:100:5"),
+    (["--method", "rt"], "method=rt"),
+    (["--ensemble", "7"], "ensemble=7"),
+    (["--seed", "-3"], "seed=-3"),
+    (["--min-edges", "2"], "min-edges=2"),
+    (["--directed"], "directed=true"),
+    (["--directed"], "directed = YES"),
+    (["--directed"], "directed=1"),
+    ([], "directed=false"),
+    ([], "directed=No"),
+    (["--out", "o.csv"], "out=o.csv"),
+]
+
+
+@pytest.mark.parametrize("flag,line", FLAG_AND_LINE,
+                         ids=[line for _, line in FLAG_AND_LINE])
+def test_config_file_line_equals_flag(tmp_path, flag, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"# a comment\n\n{line}\n")
+    from_file = config_from_args(["--config", str(cfgfile)])
+    assert from_file == config_from_args(flag)
+    assert (from_file == config_from_args([])) == (flag == [])
+
+
+@pytest.mark.parametrize("line", [
+    "alpah=5", "directed=ture", "mode=alpha_sweep", "method=xx", "alpha=abc",
+    "alpha=,,", "config=other.cfg", "conf=other.cfg", "alpha 5", "ensemble=abc",
+])
+def test_cli_bad_config_line_is_one_error_with_its_line(tmp_path, capsys, line):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    out = tmp_path / "o.csv"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"input={inp}\nout={out}\n{line}\nalpha=1\n")
+    rc = cli_main(["--config", str(cfgfile)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfgfile}:3: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+BAD_FLAGS = [["--method", "xx"], ["--alpha", "abc"], ["--alpha", ",,"],
+             ["--mode", "alpha_sweep"], ["--alpah", "5"]]
+
+
+@pytest.mark.parametrize("flag", BAD_FLAGS, ids=[" ".join(f) for f in BAD_FLAGS])
+def test_cli_bad_flag_is_one_error(tmp_path, capsys, flag):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    out = tmp_path / "o.csv"
+    rc = cli_main(["--input", str(inp), "--out", str(out), *flag])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[0] in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out

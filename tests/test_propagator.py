@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tiedyn.events import Event, EventStream, group_event_times, parse_events
-from tiedyn.propagator import (IntervalFactor, degroot_from_laplacian,
-                               degroot_run, degroot_transition,
+from tiedyn.propagator import (degroot_run, degroot_transition,
                                evolve_opinions, interval_factor, iter_factors,
                                ode_oracle, propagate)
+from tiedyn.tie_decay import intervals
 
 from conftest import make_random_stream
 
@@ -99,9 +99,9 @@ def test_propagate_factor_associativity(seed):
     full = propagate(stream, alpha)
     head = propagate(stream, alpha, upto=mid)
     tail = np.eye(stream.node_count)
-    for fac in iter_factors(stream, alpha):
-        if fac.t_start >= mid:
-            tail = tail @ fac.matrix
+    for t_start, dt, L in intervals(stream, alpha):
+        if t_start >= mid:
+            tail = tail @ interval_factor(L, dt, alpha).matrix
     assert np.allclose(head.matrix @ tail, full.matrix, atol=1e-10)
 
 
@@ -172,19 +172,6 @@ def test_degroot_transition_isolated_column():
     tr = degroot_transition(w)
     assert np.allclose(tr.sum(axis=0), 1.0)
     assert np.array_equal(tr[:, 2], [0.0, 0.0, 1.0])
-
-
-def test_degroot_from_laplacian_identity_at_zero_interval():
-    tr = degroot_from_laplacian(L2, 2.0, 2.0, 1.0)
-    assert np.allclose(tr.matrix, np.eye(2), atol=1e-14)
-
-
-def test_degroot_from_laplacian_matches_interval_factor():
-    tr = degroot_from_laplacian(L2, 0.0, 3.0, 0.5)
-    fac = interval_factor(L2, 3.0, 0.5)
-    assert isinstance(tr, IntervalFactor)
-    assert (tr.t_start, tr.t_end) == (0.0, 3.0)
-    assert np.array_equal(tr.matrix, fac.matrix)
 
 
 def test_degroot_run_zero_steps():
