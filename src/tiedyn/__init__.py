@@ -11,8 +11,7 @@ from .randomize import (RandomizerSpec, interval_shuffle, member_seed,
                         random_edge_shuffle, random_times, randomize,
                         shuffle_time_stamps)
 from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
-                       SpectralSummary, eigendecompose, fiedler_left,
-                       shrinkage_ratio, spectral_gap)
+                       fiedler_left, shrinkage_ratio, spectral_gap)
 from .tie_decay import apply_events, decay_to, intervals, laplacian
 
 __version__ = "0.1.0"

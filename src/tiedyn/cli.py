@@ -33,13 +33,27 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _int_at_least(lo: int):
+    """An argparse type for integers >= lo."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return integer
+
+
 def _parse_alpha_list(text: str) -> list[float]:
     alphas = []
     for tok in filter(None, text.split(",")):
         try:
-            alphas.append(float(tok))
+            alpha = float(tok)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad alpha {tok!r}") from None
+            alpha = math.nan  # fails the range check below
+        if not 0 < alpha < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"bad alpha {tok!r}, expected a positive and finite number")
+        alphas.append(alpha)
     if not alphas:
         raise argparse.ArgumentTypeError(f"no alpha values in {text!r}")
     return alphas
@@ -106,9 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", dest="methods", type=_parse_methods,
                    metavar="{is,sts,rt,res,all}",
                    help="randomization method(s) for ensemble mode")
-    p.add_argument("--ensemble", type=int, help="ensemble size (default 50)")
-    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    p.add_argument("--min-edges", type=int,
+    p.add_argument("--ensemble", type=_int_at_least(1),
+                   help="ensemble size (default 50)")
+    p.add_argument("--seed", type=_int_at_least(0), help="base RNG seed (default 0)")
+    p.add_argument("--min-edges", type=_int_at_least(0),
                    help="drop nodes with fewer distinct incident edges")
     p.add_argument("--directed", action="store_true",
                    help="treat events as directed")

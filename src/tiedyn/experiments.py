@@ -106,12 +106,11 @@ def summary_stats(values: list[float]) -> FiveNumberSummary:
                              float(lo), float(hi), outliers)
 
 
-def positive_slope_flags(alphas: list[float], gaps: list[float],
-                         dead_band: float = SLOPE_DEAD_BAND) -> list[bool]:
+def positive_slope_flags(alphas: list[float], gaps: list[float]) -> list[bool]:
     """Central-difference slope on log(alpha) with a dead band.
 
     Endpoint slopes use the one-sided difference. A point is flagged
-    when the slope exceeds the dead band.
+    when the slope exceeds ``SLOPE_DEAD_BAND``.
     """
     k = len(alphas)
     if k < 2:
@@ -119,10 +118,9 @@ def positive_slope_flags(alphas: list[float], gaps: list[float],
     logs = [math.log(a) for a in alphas]
     flags = []
     for i in range(k):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, k - 1)
+        lo, hi = max(i - 1, 0), min(i + 1, k - 1)
         slope = (gaps[hi] - gaps[lo]) / (logs[hi] - logs[lo])
-        flags.append(slope > dead_band)
+        flags.append(slope > SLOPE_DEAD_BAND)
     return flags
 
 

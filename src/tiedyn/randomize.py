@@ -94,7 +94,8 @@ def interval_shuffle(stream: EventStream, seed: int) -> EventStream:
         perm = rng.permutation(len(gaps))
         new_times = [times[0]]
         for g in gaps[perm]:
-            new_times.append(new_times[-1] + g)
+            # a rounded partial sum may pass the edge's last time
+            new_times.append(min(new_times[-1] + g, times[-1]))
         # last time is times[0] + sum(gaps) regardless of the permutation
         new_times[-1] = times[-1]
         shuffled.append((key, new_times))

@@ -1,4 +1,4 @@
-"""Eigendecomposition, spectral gaps, and Fiedler-vector shrinkage.
+"""Spectral gaps and Fiedler-vector shrinkage.
 
 Propagators are products of column-stochastic matrices, so the
 largest-magnitude eigenvalue is 1 with left eigenvector (1,...,1). The
@@ -8,8 +8,6 @@ the next interval factor contracts the slow (Fiedler) mode.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,71 +28,16 @@ class DegenerateFiedlerError(SpectralError):
 
 
 class DefectiveEigenpairError(SpectralError):
-    """A left/right eigenvector pair is numerically orthogonal (v.u ~ 0),
-    so it cannot be scaled to be biorthogonal."""
+    """The Fiedler left/right eigenvector pair is numerically orthogonal
+    (v.u ~ 0), so it cannot be scaled to be biorthogonal."""
 
 
-@dataclass
-class SpectralSummary:
-    """Magnitude-sorted spectrum with the top two biorthogonal eigenvector
-    pairs (one pair when N = 1).
-
-    ``right_vectors[i]`` is a unit column eigenvector u_i (phase fixed so
-    its largest-magnitude component is real-positive); ``left_vectors[i]``
-    is the row eigenvector v_i scaled so that v_i @ u_i = 1.
-    """
-
-    eigenvalues: np.ndarray
-    right_vectors: list[np.ndarray]
-    left_vectors: list[np.ndarray]
-
-
-def _sort_order(eigenvalues: np.ndarray) -> np.ndarray:
-    """Deterministic order: magnitude desc, then real desc, then imag desc."""
-    return np.lexsort((-eigenvalues.imag, -eigenvalues.real,
-                       -np.abs(eigenvalues)))
-
-
-def _fix_phase(u: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude component is real and positive."""
-    k = int(np.argmax(np.abs(u)))
-    pivot = u[k]
-    if pivot == 0:
-        return u
-    return u * (abs(pivot) / pivot)
-
-
-def eigendecompose(M: np.ndarray) -> SpectralSummary:
-    """Full complex spectrum plus the top min(2, N) biorthogonal
-    eigenvector pairs."""
+def _require_finite(M: np.ndarray) -> np.ndarray:
+    """M as a float array; the one finiteness check of both solves."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise SpectralError("nonfinite matrix entries")
-    try:
-        w, vl, vr = scipy.linalg.eig(M, left=True, right=True)
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
-        raise SpectralError(f"eigensolver failed: {exc}") from exc
-
-    order = _sort_order(w)
-    w = w[order]
-    vl = vl[:, order]
-    vr = vr[:, order]
-
-    rights: list[np.ndarray] = []
-    lefts: list[np.ndarray] = []
-    for i in range(min(2, M.shape[0])):
-        u = _fix_phase(vr[:, i])
-        u = u / np.linalg.norm(u)
-        # scipy returns vl with vl[:,i]^H M = w_i vl[:,i]^H
-        v = np.conj(vl[:, i])
-        inner = v @ u
-        if abs(inner) < 1e-14:
-            raise DefectiveEigenpairError(
-                f"eigenvector pair {i} is numerically defective (v.u ~ 0)"
-            )
-        rights.append(u)
-        lefts.append(v / inner)
-    return SpectralSummary(w, rights, lefts)
+    return M
 
 
 class MagnitudeSpectrum:
@@ -134,7 +77,8 @@ class MagnitudeSpectrum:
 
 def magnitude_spectrum(M: np.ndarray) -> MagnitudeSpectrum:
     """Eigenvalue magnitudes of M from an eigenvalue-only solve."""
-    return MagnitudeSpectrum(scipy.linalg.eigvals(np.asarray(M, dtype=float)))
+    w = scipy.linalg.eigvals(_require_finite(M), check_finite=False)
+    return MagnitudeSpectrum(w)
 
 
 def spectral_gap(M: np.ndarray) -> float:
@@ -143,16 +87,26 @@ def spectral_gap(M: np.ndarray) -> float:
 
 
 def fiedler_left(M: np.ndarray) -> np.ndarray:
-    """Left eigenvector for the second-largest-magnitude eigenvalue.
+    """Left eigenvector v2 of the second-largest-magnitude eigenvalue,
+    scaled so that v2 @ u2 = 1 for the unit right eigenvector u2 whose
+    largest-magnitude component is real and positive.
 
-    Raises DegenerateFiedlerError when no distinguished Fiedler direction
-    exists (see ``MagnitudeSpectrum.require_fiedler``), and
-    DefectiveEigenpairError when one of the top two eigenvector pairs
-    is numerically defective.
+    Raises DegenerateFiedlerError (see ``MagnitudeSpectrum.require_fiedler``)
+    and, when v2 . u2 ~ 0, DefectiveEigenpairError.
     """
-    summary = eigendecompose(M)
-    MagnitudeSpectrum(summary.eigenvalues).require_fiedler()
-    return summary.left_vectors[1]
+    w, vl, vr = scipy.linalg.eig(_require_finite(M), left=True, right=True,
+                                 check_finite=False)
+    MagnitudeSpectrum(w).require_fiedler()
+    # separation makes k unique and lambda_2 real (conjugates tie in |w|)
+    k = int(np.argsort(np.abs(w))[-2])
+    pivot = vr[np.argmax(np.abs(vr[:, k])), k]
+    u = vr[:, k] * (abs(pivot) / pivot)
+    u = u / np.linalg.norm(u)
+    v = np.conj(vl[:, k])  # scipy's vl[:, k]^H M = w_k vl[:, k]^H
+    inner = v @ u
+    if abs(inner) < 1e-14:
+        raise DefectiveEigenpairError("Fiedler pair is defective (v.u ~ 0)")
+    return v / inner
 
 
 def shrinkage_ratio(M_before: np.ndarray,
@@ -164,8 +118,6 @@ def shrinkage_ratio(M_before: np.ndarray,
     dense matrix.
     """
     v2 = fiedler_left(M_before)
-    if isinstance(Y_next, IntervalFactor):
-        w2 = Y_next.apply(v2.copy())
-    else:
-        w2 = v2 @ np.asarray(Y_next)
+    dense = not isinstance(Y_next, IntervalFactor)
+    w2 = v2 @ np.asarray(Y_next) if dense else Y_next.apply(v2.copy())
     return float(np.linalg.norm(w2) / np.linalg.norm(v2))

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from tiedyn.events import (Event, EventStream, EventStreamError,
                            exclude_low_degree_nodes, group_event_times,
                            parse_events, serialize_events, stream_stats)
 from tiedyn.randomize import interval_shuffle, random_times
 
-from conftest import make_random_stream
+from conftest import make_random_stream, streams
 
 
 def test_parse_minimal():
@@ -84,35 +84,6 @@ def test_round_trip_random(seed):
         assert stream_stats(reparsed)["edges"] == stream_stats(member)["edges"]
         assert stream_stats(reparsed)["events"] == stream_stats(member)["events"]
         assert parse_events(serialize_events(reparsed)) == reparsed
-
-
-# labels that ``str.split`` and ``str.splitlines`` leave whole
-labels = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs")),
-                 min_size=1, max_size=6).filter(
-    lambda s: not any(c.isspace() for c in s))
-
-
-@st.composite
-def streams(draw):
-    """A valid stream: first event at 0, every node on an event, and
-    node indices assigned in order of first appearance."""
-    names = draw(st.lists(labels, min_size=2, max_size=6, unique=True))
-    pairs = draw(st.lists(
-        st.tuples(st.sampled_from(range(len(names))),
-                  st.sampled_from(range(len(names)))).filter(lambda p: p[0] != p[1]),
-        min_size=1, max_size=20))
-    times = sorted(draw(st.lists(
-        st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False),
-        min_size=len(pairs), max_size=len(pairs))))
-    index: dict[int, int] = {}
-    for i, j in pairs:
-        index.setdefault(i, len(index))
-        index.setdefault(j, len(index))
-    events = tuple(Event(t - times[0], index[i], index[j])
-                   for t, (i, j) in zip(times, pairs))
-    order = sorted(index, key=index.get)
-    return EventStream(events, len(index), tuple(names[k] for k in order),
-                       directed=draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)

@@ -230,6 +230,10 @@ def test_config_rejects_empty_alphas():
 @pytest.mark.parametrize("text,message", [
     ("1,abc", "bad alpha 'abc'"), ("0.1,1e", "bad alpha '1e'"),
     (",,", "no alpha values"), ("", "no alpha values"),
+    ("1,0", "bad alpha '0', expected a positive and finite"),
+    ("-1", "bad alpha '-1', expected a positive and finite"),
+    ("1,inf", "bad alpha 'inf', expected a positive and finite"),
+    ("nan", "bad alpha 'nan', expected a positive and finite"),
 ])
 def test_alpha_list_rejects_bad_and_empty(text, message):
     with pytest.raises(argparse.ArgumentTypeError, match=message):
@@ -317,7 +321,7 @@ def test_cli_negative_min_edges_fails(tmp_path, capsys):
                    "--alpha", "1", "--min-edges", "-3", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: min-edges must be >= 0")
+    assert err.startswith("error: argument --min-edges: must be >= 0, got -3")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -339,7 +343,7 @@ FLAG_AND_LINE = [
     (["--alpha-grid", "1:100:5"], "alpha-grid=1:100:5"),
     (["--method", "rt"], "method=rt"),
     (["--ensemble", "7"], "ensemble=7"),
-    (["--seed", "-3"], "seed=-3"),
+    (["--seed", "3"], "seed=3"),
     (["--min-edges", "2"], "min-edges=2"),
     (["--directed"], "directed=true"),
     (["--directed"], "directed = YES"),
@@ -363,6 +367,7 @@ def test_config_file_line_equals_flag(tmp_path, flag, line):
 @pytest.mark.parametrize("line", [
     "alpah=5", "directed=ture", "mode=alpha_sweep", "method=xx", "alpha=abc",
     "alpha=,,", "config=other.cfg", "conf=other.cfg", "alpha 5", "ensemble=abc",
+    "ensemble=0", "min-edges=-3", "seed=-1", "alpha=1,0", "alpha=inf",
 ])
 def test_cli_bad_config_line_is_one_error_with_its_line(tmp_path, capsys, line):
     inp = tmp_path / "events.txt"
@@ -379,7 +384,8 @@ def test_cli_bad_config_line_is_one_error_with_its_line(tmp_path, capsys, line):
 
 
 BAD_FLAGS = [["--method", "xx"], ["--alpha", "abc"], ["--alpha", ",,"],
-             ["--mode", "alpha_sweep"], ["--alpah", "5"]]
+             ["--mode", "alpha_sweep"], ["--alpah", "5"], ["--seed", "-1"],
+             ["--ensemble", "0"], ["--alpha", "1,-2"]]
 
 
 @pytest.mark.parametrize("flag", BAD_FLAGS, ids=[" ".join(f) for f in BAD_FLAGS])

@@ -2,14 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tiedyn.events import Event, EventStream, parse_events, serialize_events
-from tiedyn.randomize import (RandomizerSpec, default_repetitions,
+from tiedyn.randomize import (METHODS, RandomizerSpec, default_repetitions,
                               interval_shuffle, member_seed,
                               random_edge_shuffle, random_times, randomize,
                               shuffle_time_stamps)
 
-from conftest import make_random_stream
+from conftest import make_random_stream, streams
 
 
 def edge_times(stream):
@@ -23,12 +24,22 @@ def inter_event_multisets(stream):
     }
 
 
-def degree_sequence(stream):
+def node_degrees(stream):
+    """Distinct incident edges per node."""
     deg = Counter()
     for i, j in stream.edge_event_index():
         deg[i] += 1
         deg[j] += 1
-    return sorted(deg.values())
+    return deg
+
+
+def degree_sequence(stream):
+    return sorted(node_degrees(stream).values())
+
+
+def edge_event_counts(stream):
+    """Multiset of per-edge event counts."""
+    return Counter(len(v) for v in stream.edge_event_index().values())
 
 
 # --- interval shuffling -----------------------------------------------------
@@ -263,3 +274,70 @@ def test_random_edge_shuffle_matches_reference_loop(directed):
             assert random_edge_shuffle(s, seed) == reference_edge_shuffle(s, seed)[0]
     assert retries > 0
     assert 0 < skipped < 10 * default_repetitions(dense)
+
+
+# --- invariants on generated streams ----------------------------------------
+
+def can_randomize(stream, method):
+    """The preconditions the methods check: two edges to swap between,
+    and a positive horizon to redraw times on."""
+    if method in ("shuffled_time_stamps", "random_edge_shuffling"):
+        return len(stream.edge_event_index()) >= 2
+    if method == "random_times":
+        return stream.horizon > 0
+    return True
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=20, deadline=None)
+@given(s=streams(), seed=seeds)
+def test_generated_member_keeps_nodes_and_events_per_seed(method, s, seed):
+    assume(can_randomize(s, method))
+    out = randomize(s, RandomizerSpec(method, seed))
+    assert (out.node_count, out.labels) == (s.node_count, s.labels)
+    assert len(out.events) == len(s.events)
+    assert out == randomize(s, RandomizerSpec(method, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=streams(), seed=seeds)
+# seed 0 sums the gaps to 0.9000000000000001, past the edge's last time 0.9
+@example(s=parse_events("0 a b\n0.3 a b\n0.4 a b\n0.9 a b\n0.9 a b"), seed=0)
+def test_generated_interval_shuffle_keeps_edge_ends_and_gaps(s, seed):
+    index = s.edge_event_index()
+    out = interval_shuffle(s, seed).edge_event_index()
+    assert out.keys() == index.keys()
+    for key, times in index.items():
+        new = out[key]
+        assert (new[0], new[-1]) == (times[0], times[-1])
+        # the permuted gaps are summed again, so each may move by a few ulp of T
+        assert np.allclose(np.sort(np.diff(new)), np.sort(np.diff(times)),
+                           rtol=0, atol=1e-12 * s.horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=streams(), seed=seeds)
+def test_generated_shuffle_time_stamps_keeps_global_times(s, seed):
+    assume(can_randomize(s, "shuffled_time_stamps"))
+    out = shuffle_time_stamps(s, seed)
+    assert Counter(e.time for e in out.events) == Counter(e.time for e in s.events)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=streams(), seed=seeds)
+def test_generated_random_times_stay_in_horizon(s, seed):
+    assume(can_randomize(s, "random_times"))
+    out = random_times(s, seed)
+    assert all(0 <= e.time <= s.horizon for e in out.events)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=streams(), seed=seeds)
+def test_generated_random_edge_shuffle_keeps_degrees_and_edge_counts(s, seed):
+    assume(can_randomize(s, "random_edge_shuffling"))
+    out = random_edge_shuffle(s, seed)
+    assert node_degrees(out) == node_degrees(s)
+    assert edge_event_counts(out) == edge_event_counts(s)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tiedyn.propagator import interval_factor, propagate
 from tiedyn.spectral import (DegenerateFiedlerError, SpectralError,
-                             eigendecompose, fiedler_left, shrinkage_ratio,
+                             fiedler_left, magnitude_spectrum, shrinkage_ratio,
                              spectral_gap)
 
 from conftest import make_random_stream
@@ -23,33 +24,44 @@ def random_laplacian(rng, n):
     return L
 
 
+def scipy_right_vectors(M):
+    """Unit right eigenvectors u1, u2 of the two largest-magnitude
+    eigenvalues, from scipy directly."""
+    w, vr = scipy.linalg.eig(M)
+    order = np.argsort(np.abs(w))
+    return [vr[:, k] / np.linalg.norm(vr[:, k]) for k in order[[-1, -2]]]
+
+
 def test_identity_spectrum():
-    s = eigendecompose(np.eye(4))
-    assert np.allclose(s.eigenvalues, 1.0)
+    assert np.allclose(magnitude_spectrum(np.eye(4)).magnitudes, 1.0)
     assert spectral_gap(np.eye(4)) == 0.0
 
 
 def test_consensus_matrix_spectrum():
     n = 5
     M = np.full((n, n), 1.0 / n)
-    s = eigendecompose(M)
-    assert s.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(s.eigenvalues[1:])) < 1e-12
+    mags = magnitude_spectrum(M).magnitudes
+    assert mags[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(mags[1:]) < 1e-12
     assert spectral_gap(M) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_node_factor_spectrum():
     fac = interval_factor(L2, 1e9, 1.0)  # coefficient c = -1
-    s = eigendecompose(fac.matrix)
-    assert s.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
-    assert s.eigenvalues[1] == pytest.approx(math.exp(-2), abs=1e-12)
+    mags = magnitude_spectrum(fac.matrix).magnitudes
+    assert mags[0] == pytest.approx(1.0, abs=1e-12)
+    assert mags[1] == pytest.approx(math.exp(-2), abs=1e-12)
     assert spectral_gap(fac.matrix) == pytest.approx(1 - math.exp(-2),
                                                      abs=1e-10)
 
 
-def test_eigendecompose_rejects_bad_inputs():
-    with pytest.raises(SpectralError):
-        eigendecompose(np.full((2, 2), np.nan))
+def test_spectral_functions_reject_nonfinite_input():
+    for bad in (np.nan, np.inf):
+        M = np.eye(2)
+        M[0, 1] = bad
+        for solve in (spectral_gap, fiedler_left):
+            with pytest.raises(SpectralError, match="nonfinite"):
+                solve(M)
 
 
 def test_spectral_gap_rejects_non_propagator():
@@ -61,21 +73,25 @@ def test_spectral_gap_rejects_non_propagator():
 def test_biorthogonality(seed):
     stream = make_random_stream(seed)
     M = propagate(stream, 1.0).matrix
-    s = eigendecompose(M)
-    k = min(2, stream.node_count)
-    assert len(s.left_vectors) == len(s.right_vectors) == k
-    for i in range(k):
-        for j in range(k):
-            inner = s.left_vectors[i] @ s.right_vectors[j]
-            assert abs(inner - (1.0 if i == j else 0.0)) < 1e-8
+    try:
+        magnitude_spectrum(M).require_fiedler()
+    except DegenerateFiedlerError:  # disconnected tie graph
+        with pytest.raises(DegenerateFiedlerError):
+            fiedler_left(M)
+        return
+    v2 = fiedler_left(M)
+    u1, u2 = scipy_right_vectors(M)
+    assert abs(v2 @ u1) < 1e-8
+    assert abs(abs(v2 @ u2) - 1.0) < 1e-8
+    lam2 = (v2 @ M @ u2) / (v2 @ u2)
+    assert np.max(np.abs(v2 @ M - lam2 * v2)) < 1e-8 * np.linalg.norm(v2)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_unit_eigenvalue_and_ones_left_vector(seed):
     stream = make_random_stream(seed)
     M = propagate(stream, 0.5).matrix
-    s = eigendecompose(M)
-    assert abs(abs(s.eigenvalues[0]) - 1.0) < 1e-8
+    assert abs(magnitude_spectrum(M).magnitudes[0] - 1.0) < 1e-8
     # ones is a left unit eigenvector: ones @ M stays aligned with ones.
     # (With isolated nodes the unit eigenvalue is degenerate, so comparing
     # the solver's returned vector against ones would be ill-posed.)
@@ -87,13 +103,16 @@ def test_unit_eigenvalue_and_ones_left_vector(seed):
 
 
 def test_fiedler_left_symmetric_matches_right():
-    fac = interval_factor(random_laplacian(np.random.default_rng(0), 4),
-                          2.0, 1.0)
-    v2 = fiedler_left(fac.matrix)
-    s = eigendecompose(fac.matrix)
-    u2 = s.right_vectors[1]
-    cos = abs(v2 @ u2) / (np.linalg.norm(v2) * np.linalg.norm(u2))
-    assert cos == pytest.approx(1.0, abs=1e-10)
+    # a symmetric factor has v2 = u2, so v2 @ u2 = 1 makes v2 the unit
+    # eigh vector of the second-largest eigenvalue (all are positive),
+    # with its largest-magnitude component positive
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        fac = interval_factor(random_laplacian(rng, int(rng.integers(2, 7))),
+                              2.0, 1.0)
+        u2 = scipy.linalg.eigh(fac.matrix)[1][:, -2]
+        u2 *= np.sign(u2[np.argmax(np.abs(u2))])
+        assert np.max(np.abs(fiedler_left(fac.matrix) - u2)) < 1e-10
 
 
 def test_fiedler_left_two_node():
@@ -124,7 +143,7 @@ def test_shrinkage_polynomial_same_eigenspace(seed):
     # Y = p(M) shares M's eigenspace, so the ratio equals |p(lambda_2)|
     p = np.array([0.3, 0.5, 0.2])  # p(x) = 0.3 + 0.5x + 0.2x^2
     Y = p[0] * np.eye(4) + p[1] * M + p[2] * M @ M
-    lam2 = eigendecompose(M).eigenvalues[1]
+    lam2 = magnitude_spectrum(M).magnitudes[1]  # a symmetric factor's are positive
     expected = abs(p[0] + p[1] * lam2 + p[2] * lam2 ** 2)
     assert shrinkage_ratio(M, Y) == pytest.approx(expected, abs=1e-8)
 
@@ -143,20 +162,24 @@ def test_shrinkage_scale_invariant():
 
 def test_eigenvalue_ordering_deterministic():
     M = np.diag([0.5, 1.0, 0.5, 0.2])
-    s = eigendecompose(M)
-    assert np.allclose(s.eigenvalues.real, [1.0, 0.5, 0.5, 0.2])
+    assert np.array_equal(magnitude_spectrum(M).magnitudes, [1.0, 0.5, 0.5, 0.2])
+    with pytest.raises(DegenerateFiedlerError, match="lambda_3"):
+        fiedler_left(M)
 
 
 def test_phase_fixing_reproducible():
     rng = np.random.default_rng(3)
-    M = interval_factor(random_laplacian(rng, 5), 1.0, 1.0).matrix
-    a = eigendecompose(M)
-    b = eigendecompose(M)
-    assert np.array_equal(a.right_vectors[1], b.right_vectors[1])
-    u2 = a.right_vectors[1]
-    pivot = u2[np.argmax(np.abs(u2))]
-    assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-    assert pivot.real > 0
+    stream = make_random_stream(7, directed=True)
+    for M in (interval_factor(random_laplacian(rng, 5), 1.0, 1.0).matrix,
+              propagate(stream, 1.0).matrix):
+        v2 = fiedler_left(M)
+        assert np.array_equal(v2, fiedler_left(M))
+        # v2 is scaled against the unit u2 whose largest-magnitude
+        # component is real and positive
+        _, u2 = scipy_right_vectors(M)
+        pivot = u2[np.argmax(np.abs(u2))]
+        u2 = u2 * (abs(pivot) / pivot)
+        assert v2 @ u2 == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -57,15 +57,17 @@ def row_codes(records):
                    for r in records)
 
 
-def count_eigendecompose(monkeypatch):
+def count_eigenvector_solves(monkeypatch):
+    """Record each fiedler_left call; shrinkage_ratio looks it up through
+    the module global, and each call is one eigenvector solve."""
     calls = []
-    original = spectral.eigendecompose
+    original = spectral.fiedler_left
 
     def counted(M):
         calls.append(M)
         return original(M)
 
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    monkeypatch.setattr(spectral, "fiedler_left", counted)
     return calls
 
 
@@ -103,7 +105,7 @@ def test_time_series_streams_cover_both_row_kinds():
 
 
 def test_disconnected_stream_never_solves_for_eigenvectors(monkeypatch):
-    calls = count_eigendecompose(monkeypatch)
+    calls = count_eigenvector_solves(monkeypatch)
     stream = parse_events("0 a b\n0 c d\n1 a b\n2 c d\n3 a b\n5 c d\n")
     records = run_time_series(stream, ExperimentConfig(alphas=[0.01, 1.0, 100.0]))
     assert set(row_codes(records)) == {"d", "l"}
@@ -112,7 +114,7 @@ def test_disconnected_stream_never_solves_for_eigenvectors(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_eigenvectors_only_for_separated_rows(monkeypatch, seed):
-    calls = count_eigendecompose(monkeypatch)
+    calls = count_eigenvector_solves(monkeypatch)
     alphas = [0.01, 1.0, 100.0]
     records = run_time_series(make_random_stream(seed), ExperimentConfig(alphas=alphas))
     codes = row_codes(records)
@@ -120,16 +122,16 @@ def test_eigenvectors_only_for_separated_rows(monkeypatch, seed):
 
 
 def test_defective_rows_are_flagged_and_the_run_goes_on(monkeypatch):
-    original = spectral.eigendecompose
+    original = spectral.fiedler_left
     calls = []
 
     def every_other_defective(M):
         calls.append(M)
         if len(calls) % 2:
-            raise DefectiveEigenpairError("eigenvector pair 0 is numerically defective")
+            raise DefectiveEigenpairError("Fiedler pair is defective (v.u ~ 0)")
         return original(M)
 
-    monkeypatch.setattr(spectral, "eigendecompose", every_other_defective)
+    monkeypatch.setattr(spectral, "fiedler_left", every_other_defective)
     stream = make_random_stream(0)
     records = run_time_series(stream, ExperimentConfig(alphas=[1.0]))
     assert len(records) == len(group_event_times(stream))
