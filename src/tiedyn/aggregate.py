@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .events import EventStream
-from .propagator import _expm
+from .propagator import _live_factor
 from .tie_decay import laplacian
 
 
@@ -35,9 +35,8 @@ def aggregate_weights(stream: EventStream, alpha: float) -> np.ndarray:
 
 
 def aggregate_propagator(weights: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t L^T): the opinion map under the constant aggregate Laplacian."""
+    """exp(-t L^T): the opinion map under the constant aggregate Laplacian,
+    built and checked as an interval factor is."""
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    M = _expm(-t * laplacian(weights).T)
-    np.clip(M, 0.0, None, out=M)
-    return M
+    return _live_factor(laplacian(weights), -t).matrix

@@ -56,6 +56,8 @@ class EventStream:
             raise EventStreamError("label count does not match node_count")
         prev = -1.0
         for ev in self.events:
+            if not 0 <= ev.time < math.inf:
+                raise EventStreamError(f"event time {ev.time} must be finite and >= 0")
             if ev.time < prev:
                 raise EventStreamError("events are not sorted by time")
             prev = ev.time

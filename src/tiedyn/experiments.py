@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ValueError("ensemble size must be >= 1")
         if self.min_edges < 0:
             raise ValueError(f"min-edges must be >= 0, got {self.min_edges}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.alphas:
             raise ValueError("need at least one alpha value")
         if not all(0 < a < math.inf for a in self.alphas):

@@ -28,48 +28,45 @@ _NEG_TOL = 1e-12
 # Ties with |c|*w below this are dropped: they move no entry of the factor
 # by more than rounding does.
 _DEAD_TIE = np.finfo(float).eps
-# Above this share of live nodes, all live nodes form one block and the
-# component search is skipped (chosen by timing the benchmark workloads).
-_DENSE_SHARE = 0.5
 
 
 @dataclass(frozen=True)
 class IntervalFactor:
     """Column-stochastic map of opinions across one inter-event interval.
 
-    The factor is the identity outside its diagonal blocks: ``blocks``
-    holds pairs ``(idx, Y)`` of disjoint node indices and the factor
-    restricted to them, so entry ``[idx[a], idx[b]]`` is ``Y[a, b]``.
-    The dense ``matrix`` is built only when it is read.
+    The factor is the identity outside one diagonal block on the live
+    nodes ``idx``: entry ``[idx[a], idx[b]]`` is ``block[a, b]``. With
+    no live node, ``idx`` and ``block`` are empty and the factor is the
+    identity. The dense ``matrix`` is built only when it is read.
     """
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    idx: np.ndarray
+    block: np.ndarray
     node_count: int
 
     def __post_init__(self):
-        for _, Y in self.blocks:
-            # written so that NaN entries fail too
-            if not Y.min() >= -_NEG_TOL:
-                raise ValueError(f"interval factor has entry {Y.min()} < -{_NEG_TOL}")
-            if not abs(Y.sum(axis=0) - 1.0).max() <= _COLSUM_TOL:
-                raise ValueError("interval factor columns do not sum to 1")
+        Y = self.block
+        # written so that NaN entries fail too
+        if not Y.min(initial=0.0) >= -_NEG_TOL:
+            raise ValueError(f"interval factor has entry {Y.min()} < -{_NEG_TOL}")
+        if not abs(Y.sum(axis=0) - 1.0).max(initial=0.0) <= _COLSUM_TOL:
+            raise ValueError("interval factor columns do not sum to 1")
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense N x N factor."""
         Y = np.eye(self.node_count)
-        for idx, block in self.blocks:
-            Y[np.ix_(idx, idx)] = block
+        Y[np.ix_(self.idx, self.idx)] = self.block
         return Y
 
     def apply(self, M: np.ndarray) -> np.ndarray:
-        """Overwrite ``M`` (a row vector or a matrix) with ``M @ Y``, block
-        by block, and return it."""
-        for idx, block in self.blocks:
-            if len(idx) == self.node_count:  # every node: no gather or scatter
-                M[...] = M @ block
-            else:
-                M[..., idx] = M[..., idx] @ block
+        """Overwrite ``M`` (a row vector or a matrix) with ``M @ Y`` and
+        return it."""
+        idx = self.idx
+        if len(idx) == self.node_count:  # every node: no gather or scatter
+            M[...] = M @ self.block
+        elif len(idx):
+            M[..., idx] = M[..., idx] @ self.block
         return M
 
 
@@ -78,11 +75,6 @@ class Propagator:
     """Accumulated opinion map M(t): x(t) = x(0) @ M."""
 
     matrix: np.ndarray
-
-
-def _stable_coefficient(delta_t: float, alpha: float) -> float:
-    """(e^{-alpha*dt} - 1)/alpha without cancellation for small alpha*dt."""
-    return math.expm1(-alpha * delta_t) / alpha
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -122,63 +114,42 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return Z @ Z.T
 
 
-def _components(link: np.ndarray) -> list[np.ndarray]:
-    """Node sets of the connected components of a symmetric boolean
-    adjacency matrix, each in increasing order.
+def _live_factor(L: np.ndarray, c: float) -> IntervalFactor:
+    """exp(c * L^T) for c <= 0, on one block of the live nodes.
 
-    Label propagation with pointer jumping: on the small graphs of one
-    interval this is several times faster than
-    ``scipy.sparse.csgraph.connected_components``, whose input
-    validation costs about 0.2 ms a call.
-    """
-    k = link.shape[0]
-    labels = np.arange(k)
-    while True:
-        # smallest label among self and neighbours, then pointer jumping
-        new = np.where(link, labels, k).min(axis=1, initial=k)
-        np.minimum(new, labels, out=new)
-        new = new[new]
-        if (new == labels).all():
-            break
-        labels = new
-    roots = (labels == np.arange(k)).nonzero()[0]
-    return [(labels == root).nonzero()[0] for root in roots]
-
-
-def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFactor:
-    """exp(c * L^T) with c = (e^{-alpha*dt} - 1)/alpha <= 0, by blocks.
-
-    -L^T has non-negative off-diagonals and zero column sums, so the
-    result is entrywise non-negative and column-stochastic. Ties with
-    |c|*|L_ij| below double-precision epsilon are dropped, and the
-    factor is the identity on nodes without a live tie. Each connected
-    component of the live ties is one block; when more than
-    ``_DENSE_SHARE`` of the nodes are live, all live nodes form a
-    single block instead, without the component search.
+    Ties with |c|*|L_ij| below double-precision epsilon are dropped, and
+    the factor is the identity on nodes without a live tie. All live
+    nodes form one block, so rounding of about eps * ||c L|| from a heavy
+    tie can reach every live entry, as it does in a dense ``expm``.
     """
     if not np.all(np.isfinite(L)):
         raise ValueError("nonfinite Laplacian")
+    n = L.shape[0]
+    A = c * L.T
+    keep = A >= _DEAD_TIE  # off-diagonal only: the diagonal is <= 0
+    idx = (keep.any(axis=0) | keep.any(axis=1)).nonzero()[0]
+    A *= keep
+    A.flat[::n + 1] = -A.sum(axis=0)
+    if len(idx) < n:
+        A = A[np.ix_(idx, idx)]
+    Y = _expm(A) if len(idx) else A  # no live tie: the empty block
+    np.maximum(Y, 0.0, out=Y)
+    return IntervalFactor(idx, Y, n)
+
+
+def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFactor:
+    """exp(c * L^T) with c = (e^{-alpha*dt} - 1)/alpha <= 0.
+
+    -L^T has non-negative off-diagonals and zero column sums, so the
+    result is entrywise non-negative and column-stochastic. It is one
+    block on the nodes with a live tie (``_live_factor``).
+    """
     if not 0 <= delta_t < math.inf:
         raise ValueError(f"delta_t must be finite and >= 0, got {delta_t}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    n = L.shape[0]
-    A = _stable_coefficient(delta_t, alpha) * L.T
-    keep = A >= _DEAD_TIE  # off-diagonal only: the diagonal is <= 0
-    nodes = (keep.any(axis=0) | keep.any(axis=1)).nonzero()[0]
-    A *= keep
-    A.flat[::n + 1] = -A.sum(axis=0)
-    if len(nodes) > _DENSE_SHARE * n:
-        groups = [nodes]
-    else:
-        live = keep[np.ix_(nodes, nodes)]
-        groups = [nodes[c] for c in _components(live | live.T)]
-    blocks = []
-    for idx in groups:
-        Y = _expm(A if len(idx) == n else A[np.ix_(idx, idx)])
-        np.maximum(Y, 0.0, out=Y)
-        blocks.append((idx, Y))
-    return IntervalFactor(tuple(blocks), n)
+    # expm1: no cancellation for small alpha * dt
+    return _live_factor(L, math.expm1(-alpha * delta_t) / alpha)
 
 
 def iter_factors(stream: EventStream, alpha: float,

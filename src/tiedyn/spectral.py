@@ -114,8 +114,8 @@ def shrinkage_ratio(M_before: np.ndarray,
     """||v2 Y|| / ||v2||: how much the next interval factor shrinks the
     Fiedler vector.
 
-    An ``IntervalFactor`` is applied block by block, without forming its
-    dense matrix.
+    An ``IntervalFactor`` is applied on its live block, without forming
+    its dense matrix.
     """
     v2 = fiedler_left(M_before)
     dense = not isinstance(Y_next, IntervalFactor)

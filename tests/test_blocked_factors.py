@@ -1,8 +1,8 @@
-"""Component-blocked interval factors against the dense reference.
+"""Live-block interval factors against the dense reference.
 
 The reference factor of an interval is scipy.linalg.expm(c L^T) on the
 full N x N Laplacian, c = (e^{-alpha dt} - 1)/alpha; the reference
-propagator is the product of those. Blocked factors, propagators,
+propagator is the product of those. Live-block factors, propagators,
 opinions and time-series rows must match it to 1e-12 entrywise.
 """
 
@@ -40,7 +40,7 @@ def reference_product(stream, alpha, upto=None):
 
 
 def sparse_stream(seed, directed=False, n=12, n_events=40):
-    """Few contacts per time among many nodes: small live components."""
+    """Few contacts per time among many nodes: small live sets."""
     rng = np.random.default_rng(seed)
     times = np.round(np.sort(rng.uniform(0, 40, size=n_events)), 1)
     times -= times[0]
@@ -54,22 +54,13 @@ def crossing_stream():
     """Live set of 2 of 10 nodes, then all 10 at once, then 2 again.
 
     At alpha=5 and unit gaps the ties of one time are dead (|c| w < eps)
-    after about 8 time units, so the live share crosses 1/2 upward at
-    t=10 and downward again once the crowd's ties have died.
+    after about 8 time units, so the live set grows to every node at
+    t=10 and shrinks again once the crowd's ties have died.
     """
     lines = [f"{t} a b" for t in range(10)]
     lines += [f"10 {u} {w}" for u, w in zip("abcdefghij", "bcdefghija")]
     lines += [f"{t} c d" for t in range(11, 30)]
     return parse_events("\n".join(lines))
-
-
-def live_shares(stream, alpha):
-    shares = []
-    for _, dt, L in intervals(stream, alpha):
-        fac = interval_factor(L, dt, alpha)
-        live = sum(len(idx) for idx, _ in fac.blocks)
-        shares.append(live / stream.node_count)
-    return shares
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -106,17 +97,11 @@ def test_propagate_upto_inside_interval(seed):
             assert np.max(np.abs(M - ref)) < TOL
 
 
-def test_live_set_crosses_dense_share_both_ways():
+def test_live_set_grows_and_shrinks():
     stream = crossing_stream()
     alpha = 5.0
-    shares = live_shares(stream, alpha)
-    dense = [s > propagator._DENSE_SHARE for s in shares]
-    assert dense[:9] == [False] * 9
-    assert True in dense
-    assert dense[-1] is False
-    # goes up to the dense block and comes back down
-    first = dense.index(True)
-    assert False in dense[first:]
+    sizes = [len(fac.idx) for fac in iter_factors(stream, alpha)]
+    assert sizes[:9] == [2] * 9 and 10 in sizes and sizes[-1] == 2
     M = propagate(stream, alpha).matrix
     assert np.max(np.abs(M - reference_product(stream, alpha))) < TOL
     for fac, ref in zip(iter_factors(stream, alpha),
@@ -183,24 +168,28 @@ def test_dead_nodes_are_exact_identity():
     a, b = s.labels.index("a"), s.labels.index("b")
     assert np.array_equal(Y[:, a], np.eye(4)[:, a])
     assert np.array_equal(Y[b], np.eye(4)[b])
-    assert [list(idx) for idx, _ in fac.blocks] == [
-        sorted([s.labels.index("c"), s.labels.index("d")])]
+    assert list(fac.idx) == sorted([s.labels.index("c"), s.labels.index("d")])
 
 
-def test_components_are_separate_blocks():
-    # 5 of 11 nodes live in the first interval: below the dense share
-    s = parse_events("0 a b\n0 c d\n0 d e\n1 a b\n1 f g\n1 h i\n1 j k")
-    fac = next(iter_factors(s, 10.0))
-    blocks = sorted(sorted(s.labels[i] for i in idx) for idx, _ in fac.blocks)
-    assert blocks == [["a", "b"], ["c", "d", "e"]]
-    Y = fac.matrix
-    assert Y[s.labels.index("a"), s.labels.index("c")] == 0.0
+def test_one_expm_call_per_factor(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape[0])
+        return _expm(A)
+
+    monkeypatch.setattr(propagator, "_expm", counted)
+    stream = sparse_stream(0)  # live sets of several separate pairs
+    for _, dt, L in intervals(stream, 1.0):
+        calls.clear()
+        fac = interval_factor(L, dt, 1.0)
+        assert calls == ([len(fac.idx)] if len(fac.idx) else [])
 
 
 @pytest.mark.parametrize("stream", [sparse_stream(1), make_random_stream(1)],
                          ids=["sparse", "dense"])
 def test_apply_matches_dense_product(stream):
-    # the dense stream's factors are mostly one block of every node
+    # the dense stream's factors mostly have every node live
     rng = np.random.default_rng(0)
     for fac in iter_factors(stream, 1.0):
         X = rng.normal(size=(3, stream.node_count))
@@ -236,17 +225,23 @@ def test_heavy_edge_factor_column_sums(seed):
 
 
 def test_heavy_component_is_exact_average():
-    # 4 of 10 nodes live: the heavy pair and the light pair are two blocks
+    pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    c = math.expm1(-1.0) / 0.001
+    # the heavy pair as the only live tie
     L = np.zeros((10, 10))
-    L[:2, :2] = 1.6e5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    L[2:4, 2:4] = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    fac = interval_factor(L, 1000.0, 0.001)
-    assert len(fac.blocks) == 2
-    Y = fac.matrix
+    L[:2, :2] = 1.6e5 * pair
+    Y = interval_factor(L, 1000.0, 0.001).matrix
     assert np.max(np.abs(Y[:2, :2] - 0.5)) <= 1e-15
-    ref = scipy.linalg.expm(math.expm1(-1.0) / 0.001 * L[2:4, 2:4])
-    assert np.max(np.abs(Y[2:4, 2:4] - ref)) < TOL
+    assert np.array_equal(Y[2:, 2:], np.eye(8))
+    # with a light pair beside it: one live block of 4 nodes, so rounding
+    # of about eps * ||c L|| from the heavy pair reaches the light one
+    L[2:4, 2:4] = pair
+    Y = interval_factor(L, 1000.0, 0.001).matrix
+    bound = np.finfo(float).eps * np.linalg.norm(c * L, 2)  # 4.5e-8
+    assert np.max(np.abs(Y[:4, :4] - scipy.linalg.expm(c * L[:4, :4]))) < bound
+    assert np.max(np.abs(Y[:2, 2:4])) < bound
     assert np.array_equal(Y[4:, 4:], np.eye(6))
+    assert np.array_equal(Y[:4, 4:], np.zeros((4, 6)))
 
 
 def test_acyclic_directed_factor_stays_triangular():
@@ -293,11 +288,22 @@ def test_propagate_rejects_nonfinite_alpha(alpha):
 ])
 def test_interval_factor_validates_each_block(block):
     with pytest.raises(ValueError):
-        IntervalFactor(((np.array([0, 1]), block),), 3)
+        IntervalFactor(np.array([0, 1]), block, 3)
+
+
+@pytest.mark.parametrize("dt", [0.0, 1e-17])
+def test_no_live_tie_is_identity(dt):
+    # |c| * w = dt * w is below eps: the only tie is dead
+    L = laplacian(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    fac = interval_factor(L, dt, 1.0)
+    assert len(fac.idx) == 0 and fac.block.shape == (0, 0)
+    assert np.array_equal(fac.matrix, np.eye(3))
+    X = np.random.default_rng(0).normal(size=(2, 3))
+    assert np.array_equal(fac.apply(X.copy()), X)
 
 
 # ---------------------------------------------------------------------------
-# property test: blocked, dense and deflated factors agree
+# property test: live-block and deflated factors agree with dense expm
 
 
 @st.composite
@@ -320,17 +326,10 @@ def small_laplacians(draw):
        dt=st.floats(0.0, 20.0))
 def test_blocked_dense_deflated_agree(L, alpha, dt):
     c = math.expm1(-alpha * dt) / alpha
-    saved = propagator._DENSE_SHARE
-    try:
-        propagator._DENSE_SHARE = 1.0  # always search components
-        blocked = interval_factor(L, dt, alpha).matrix
-        propagator._DENSE_SHARE = 0.0  # one block of all live nodes
-        dense = interval_factor(L, dt, alpha).matrix
-    finally:
-        propagator._DENSE_SHARE = saved
+    live = interval_factor(L, dt, alpha).matrix
     deflated = _expm(c * L.T)  # one Householder block over all N nodes
     reference = scipy.linalg.expm(c * L.T)
-    for Y in (blocked, dense, deflated):
+    for Y in (live, deflated):
         assert np.max(np.abs(Y - reference)) < TOL
         assert np.min(Y) >= -TOL
         assert np.max(np.abs(Y.sum(axis=0) - 1.0)) < TOL

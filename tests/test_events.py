@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -172,3 +174,14 @@ def test_unsorted_events_rejected():
     with pytest.raises(EventStreamError, match="sorted"):
         EventStream(events=(Event(5.0, 0, 1), Event(1.0, 0, 1)),
                     node_count=2, labels=("a", "b"))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_stream_rejects_nonfinite_time(bad, position):
+    # NaN compares false, so the sortedness check alone would let it through
+    times = [0.0, 1.0, 2.0]
+    times[position] = bad
+    events = tuple(Event(t, k % 3, (k + 1) % 3) for k, t in enumerate(times))
+    with pytest.raises(EventStreamError, match="must be finite"):
+        EventStream(events=events, node_count=3, labels=("a", "b", "c"))

@@ -227,6 +227,11 @@ def test_config_rejects_empty_alphas():
         ExperimentConfig(alphas=[])
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(mode="ensemble", seed=-1, ensemble=1)
+
+
 @pytest.mark.parametrize("text,message", [
     ("1,abc", "bad alpha 'abc'"), ("0.1,1e", "bad alpha '1e'"),
     (",,", "no alpha values"), ("", "no alpha values"),
