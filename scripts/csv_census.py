@@ -21,9 +21,11 @@ bytes are identical, the number of rows that differ, the largest change
 of a gap or summary cell, and the largest change of a shrinkage ratio,
 over all rows and over rows with 1 - gap >= 1e-5 (below that the ratio
 is fixed only to about eps / |lambda_2|). Changed ``n_outliers`` counts
-are listed on their own. It exits 1 if a run fails on
-either side, or if a file's row count, a flag, an empty cell or a key
-cell (mode, method, alpha, seed, t_n, event_count) differs.
+are listed on their own, and for each CSV with a flags column so are
+the numbers of rows that carry each flag of FLAGS, on each side. It
+exits 1 if a run fails on either side, or if a file's row count, a flag,
+an empty cell or a key cell (mode, method, alpha, seed, t_n, event_count)
+differs.
 
 The inputs come from this checkout's ``bench/`` and ``tests/fixtures/``.
 Outputs stay in DIR (default: a new temporary directory).
@@ -51,6 +53,8 @@ ALPHAS = "0.01,1,100"
 RESOLVED = 1e-5  # ratios are compared separately where 1 - gap >= this
 KEY_COLUMNS = ("mode", "method", "alpha", "seed", "t_n", "event_count")
 COUNT_COLUMNS = ("n_outliers",)  # listed when they change, not a failure
+FLAGS = ("defective_eigenpair", "degenerate_fiedler", "last_event_time",
+         "positive_slope")
 MODES = {
     "sweep": ["--mode", "alpha-sweep"],
     "timeseries": ["--mode", "time-series", "--alpha", ALPHAS],
@@ -98,6 +102,17 @@ def start(tree: Path, args: list[str], out: Path) -> subprocess.Popen:
 def read_rows(path: Path) -> tuple[list[dict[str, str]], list[str]]:
     reader = csv.DictReader(io.StringIO(path.read_text()))
     return list(reader), reader.fieldnames or []
+
+
+def flag_counts(path: Path) -> str | None:
+    """How many rows carry each flag of FLAGS, as "flag count ...", or
+    None for a CSV without a flags column."""
+    rows, header = read_rows(path)
+    if "flags" not in header:
+        return None
+    per_row = [row["flags"].split(";") for row in rows]
+    return " ".join(f"{flag} {sum(flag in flags for flags in per_row)}"
+                    for flag in FLAGS)
 
 
 def delta(a: str, b: str) -> float:
@@ -185,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
             line, faults, notes = compare(a, b)
             identical += line == "identical"
             print(f"{a.name}: {line}", flush=True)
+            counts = [flag_counts(a), flag_counts(b)]
+            if counts[0] is not None:
+                print(f"  flags A: {counts[0]}; B: {counts[1]}")
             for note in notes:
                 print(f"  NOTE {note}")
             for fault in faults:

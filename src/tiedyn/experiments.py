@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
 
@@ -95,17 +96,32 @@ class ExperimentRecord:
                 self.t_n)
 
 
+def _linear_quantile(xs: list[Fraction], p: Fraction) -> Fraction:
+    """The linear-interpolation quantile of sorted ``xs``, exactly."""
+    h = (len(xs) - 1) * p
+    j = math.floor(h)
+    return xs[j] if j + 1 == len(xs) else xs[j] + (h - j) * (xs[j + 1] - xs[j])
+
+
 def summary_stats(values: list[float]) -> FiveNumberSummary:
-    """Quartiles via linear interpolation; 1.5*IQR whiskers and outliers."""
+    """Quartiles via linear interpolation; 1.5*IQR whiskers and outliers.
+
+    The five cells are numpy's rounded quartiles and whiskers. Outliers
+    are judged against whiskers computed exactly from the same quartiles:
+    samples a few units in the last place apart round to an IQR of 0,
+    and the rounded whiskers would then make outliers of them all.
+    """
     if not values:
         raise ValueError("empty sample")
     q1, median, q3 = np.percentile(values, [25, 50, 75], method="linear")
     iqr = q3 - q1
-    lo = q1 - 1.5 * iqr
-    hi = q3 + 1.5 * iqr
-    outliers = [v for v in values if v < lo or v > hi]
+    exact = sorted(map(Fraction, values))
+    eq1, eq3 = (_linear_quantile(exact, Fraction(k, 4)) for k in (1, 3))
+    reach = Fraction(3, 2) * (eq3 - eq1)
+    fence_lo, fence_hi = eq1 - reach, eq3 + reach
+    outliers = [v for v in values if not fence_lo <= Fraction(v) <= fence_hi]
     return FiveNumberSummary(float(q1), float(median), float(q3),
-                             float(lo), float(hi), outliers)
+                             float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr), outliers)
 
 
 def positive_slope_flags(alphas: list[float], gaps: list[float]) -> list[bool]:

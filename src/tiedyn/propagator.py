@@ -17,8 +17,7 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dsyevd
+from numpy.linalg._umath_linalg import eigh_lo
 
 from .events import Event, EventStream
 from .tie_decay import apply_events, intervals
@@ -88,10 +87,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
     order eps, whatever the norm of A.
 
     Other A: ``scipy.linalg.expm``, whose column sums drift from 1 by
-    about eps * ||A||.
+    about eps * ||A||. Only this branch imports scipy.
     """
     n = A.shape[0]
     if not (A == A.T).all():
+        import scipy.linalg
         return scipy.linalg.expm(A)
     r = 1.0 / math.sqrt(n)
     beta = 1.0 / (1.0 + r)  # 2 / (v @ v)
@@ -100,11 +100,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
     y = (beta * r) * A[1:, 0] - 0.5 * (beta * r) ** 2 * A[0, 0]
     B = A[1:, 1:] - y[:, None]
     B -= y
-    # LAPACK directly: numpy's eigh costs more per call on small blocks;
-    # B.T is B's Fortran-ordered transpose, and only one triangle is read
-    vals, vecs, info = dsyevd(B.T, compute_v=1, lower=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    # numpy's syevd gufunc on the lower triangle: np.linalg.eigh(B, UPLO="L")
+    # without its wrapper, which costs more than the solve on small blocks
+    vals, vecs = eigh_lo(B, signature="d->dd")
+    if vals[0] != vals[0]:  # no convergence: the gufunc returns NaN
+        raise np.linalg.LinAlgError("syevd did not converge")
     W = vecs * np.exp(0.5 * vals)
     colsum = W.sum(axis=0)
     Z = np.empty_like(A)

@@ -10,7 +10,6 @@ the next interval factor contracts the slow (Fiedler) mode.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .propagator import IntervalFactor
 
@@ -77,7 +76,7 @@ class MagnitudeSpectrum:
 
 def magnitude_spectrum(M: np.ndarray) -> MagnitudeSpectrum:
     """Eigenvalue magnitudes of M from an eigenvalue-only solve."""
-    w = scipy.linalg.eigvals(_require_finite(M), check_finite=False)
+    w = np.linalg.eigvals(_require_finite(M))
     return MagnitudeSpectrum(w)
 
 
@@ -91,20 +90,41 @@ def fiedler_left(M: np.ndarray) -> np.ndarray:
     scaled so that v2 @ u2 = 1 for the unit right eigenvector u2 whose
     largest-magnitude component is real and positive.
 
+    One right eigenvector solve gives lambda_2 and u2; v2 then solves the
+    bordered system [(M - lambda_2 I)^T, u2; u2^T, 0] [v2; mu] = [0; 1].
+    It is singular exactly when lambda_2 is not simple or v2 . u2 = 0,
+    and otherwise as well conditioned as the Fiedler pair, however ill
+    conditioned the other eigenvectors are.
+
     Raises DegenerateFiedlerError (see ``MagnitudeSpectrum.require_fiedler``)
-    and, when v2 . u2 ~ 0, DefectiveEigenpairError.
+    and DefectiveEigenpairError when the unit vectors along v2 and u2 are
+    numerically orthogonal (|v.u| < 1e-14) or the bordered system is
+    singular.
     """
-    w, vl, vr = scipy.linalg.eig(_require_finite(M), left=True, right=True,
-                                 check_finite=False)
+    M = _require_finite(M)
+    w, V = np.linalg.eig(M)
     MagnitudeSpectrum(w).require_fiedler()
-    # separation makes k unique and lambda_2 real (conjugates tie in |w|)
+    # separation makes k unique and lambda_2 real (conjugates tie in |w|),
+    # so u2 and v2 are real
     k = int(np.argsort(np.abs(w))[-2])
-    pivot = vr[np.argmax(np.abs(vr[:, k])), k]
-    u = vr[:, k] * (abs(pivot) / pivot)
+    u = V[:, k].real
+    pivot = u[np.argmax(np.abs(u))]
+    u = u * (abs(pivot) / pivot)
     u = u / np.linalg.norm(u)
-    v = np.conj(vl[:, k])  # scipy's vl[:, k]^H M = w_k vl[:, k]^H
+    n = len(u)
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = M.T
+    np.fill_diagonal(K[:n, :n], M.diagonal() - w[k].real)
+    K[:n, n] = K[n, :n] = u
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    try:
+        v = np.linalg.solve(K, rhs)[:n]
+    except np.linalg.LinAlgError:
+        raise DefectiveEigenpairError(
+            "Fiedler pair is defective (singular bordered system)") from None
     inner = v @ u
-    if abs(inner) < 1e-14:
+    if abs(inner) < 1e-14 * np.linalg.norm(v):
         raise DefectiveEigenpairError("Fiedler pair is defective (v.u ~ 0)")
     return v / inner
 

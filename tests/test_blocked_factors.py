@@ -186,6 +186,27 @@ def test_one_expm_call_per_factor(monkeypatch):
         assert calls == ([len(fac.idx)] if len(fac.idx) else [])
 
 
+def test_eigh_gufunc_is_numpy_eigh_lower(monkeypatch):
+    # _expm calls numpy's private gufunc, not np.linalg.eigh: a numpy
+    # release that changes what it computes must fail here
+    original = propagator.eigh_lo
+    blocks = []
+
+    def recorded(B, signature):
+        blocks.append(B.copy())
+        return original(B, signature=signature)
+
+    monkeypatch.setattr(propagator, "eigh_lo", recorded)
+    for stream in (sparse_stream(0), make_random_stream(3, n_max=9)):
+        list(iter_factors(stream, 1.0))
+    assert len({B.shape[0] for B in blocks}) >= 3
+    for B in blocks:
+        vals, vecs = original(B, signature="d->dd")
+        reference = np.linalg.eigh(B, UPLO="L")
+        assert np.array_equal(vals, reference.eigenvalues)
+        assert np.array_equal(vecs, reference.eigenvectors)
+
+
 @pytest.mark.parametrize("stream", [sparse_stream(1), make_random_stream(1)],
                          ids=["sparse", "dense"])
 def test_apply_matches_dense_product(stream):

@@ -1,10 +1,14 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tiedyn
 from tiedyn.cli import (_parse_alpha_grid, _parse_alpha_list, config_from_args,
                         main as cli_main)
 from tiedyn.events import parse_events
@@ -34,6 +38,20 @@ def test_summary_outlier():
     s = summary_stats([1.0, 2.0, 3.0, 4.0, 100.0])
     assert s.outliers == [100.0]
     assert 100.0 > s.hi
+
+
+def test_summary_members_ulps_apart_are_not_outliers():
+    # the quartiles round to one double, so the rounded IQR is 0; the
+    # exact whiskers still lie outside both members
+    s = summary_stats([0.9999999999999979, 0.9999999999999981])
+    assert s.q1 == s.median == s.q3 == s.lo == s.hi == 0.999999999999998
+    assert s.outliers == []
+
+
+def test_summary_outlier_beside_members_ulps_apart():
+    s = summary_stats([0.9999999999999981, 0.99, 0.9999999999999979,
+                       0.9999999999999980, 0.9999999999999981])
+    assert s.outliers == [0.99]
 
 
 def test_summary_single_value():
@@ -404,6 +422,42 @@ def test_cli_bad_flag_is_one_error(tmp_path, capsys, flag):
     assert err.startswith("error: ") and flag[0] in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+SCIPY_FREE_RUNS = """
+import sys
+import tiedyn
+loaded = ["import tiedyn"] if "scipy" in sys.modules else []
+from tiedyn.cli import main
+events, out = sys.argv[1], sys.argv[2]
+modes = {
+    "alpha-sweep": [],
+    "time-series": ["--alpha", "0.1,1"],
+    "aggregate-compare": ["--alpha", "0.1,1"],
+    "ensemble": ["--alpha", "1", "--method", "all", "--ensemble", "2"],
+}
+for mode, args in modes.items():
+    if main(["--input", events, "--mode", mode, *args, "--out", out]) != 0:
+        sys.exit(f"{mode} failed")
+    if "scipy" in sys.modules:
+        loaded.append(mode)
+if loaded:
+    sys.exit("scipy loaded after " + ", ".join(loaded))
+sys.exit(main(["--input", events, "--mode", "time-series", "--alpha", "1",
+               "--directed", "--out", out]))
+"""
+
+
+def test_undirected_runs_never_import_scipy(tmp_path):
+    # scipy is imported only for directed blocks, so only a fresh process
+    # can show it; the triangle's time series computes a shrinkage ratio
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    env = dict(os.environ, PYTHONPATH=str(Path(tiedyn.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUNS, str(inp), str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_help_exits_zero(capsys):

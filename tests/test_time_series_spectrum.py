@@ -144,12 +144,27 @@ def test_defective_rows_are_flagged_and_the_run_goes_on(monkeypatch):
 
 
 def test_directed_drained_node_does_not_end_the_run():
-    # at alpha 0.01 the row of node 0 in M(42.7) is ~1e-67, and LAPACK's
-    # balanced eig returns a left unit eigenvector orthogonal to the right
-    # one (v.u ~ 1e-58); that error used to end run_time_series
+    # at alpha 0.01 the row of node 0 in M(42.7) is ~1e-67. There LAPACK's
+    # balanced eig returns a left vector orthogonal to the right one
+    # (v.u ~ 1e-19), which once ended run_time_series and later flagged the
+    # row defective, and from t = 43.8 on left vectors whose residual is up
+    # to 5% of lambda_2. The bordered solve finds a true left eigenvector
+    # on every separated row (|v.u| is about 0.5 at t = 42.7).
     stream = make_random_stream(154, n_max=8, directed=True)
     records = run_time_series(stream, ExperimentConfig(alphas=[0.01]))
     assert len(records) == len(group_event_times(stream))
-    assert "defective_eigenpair" in {r.flags for r in records}
     for r in records:
         assert (r.shrinkage_ratio is None) == bool(r.flags)
+    assert "defective_eigenpair" not in {r.flags for r in records}
+    assert [r.flags for r in records if r.t_n == 42.7] == [""]
+    separated = 0
+    for M, _ in steps(stream, 0.01):
+        try:
+            v2 = spectral.fiedler_left(M)
+        except DegenerateFiedlerError:
+            continue
+        w = np.linalg.eigvals(M)
+        lam2 = w[np.argsort(np.abs(w))[-2]]
+        assert np.max(np.abs(v2 @ M - lam2 * v2)) < 1e-12 * np.linalg.norm(v2)
+        separated += 1
+    assert separated >= 5
