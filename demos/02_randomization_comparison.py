@@ -9,10 +9,8 @@ inter-event correlations are bottlenecks for opinion flow.
 
 import numpy as np
 
-from tiedyn import (RandomizerSpec, member_seed, parse_events, propagate,
-                    randomize, spectral_gap)
-from tiedyn.experiments import summary_stats
-from tiedyn.randomize import METHODS
+from tiedyn import parse_events
+from tiedyn.experiments import ExperimentConfig, run_ensemble
 
 # bursty synthetic stream: repeated contacts in tight clumps
 rng = np.random.default_rng(0)
@@ -26,15 +24,11 @@ for burst in range(12):
         lines.append(f"{t:.3f} {i} {j}")
 stream = parse_events("\n".join(lines))
 
-alpha = 0.1
-original = spectral_gap(propagate(stream, alpha).matrix)
+records, summaries = run_ensemble(
+    stream, ExperimentConfig(alphas=[0.1], ensemble=100, seed=42))
+original = next(r.gap for r in records if r.method == "original")
 print(f"original gap of M(T): {original:.6f}\n")
 
 print(f"{'method':24s} {'q1':>9s} {'median':>9s} {'q3':>9s}")
-for method in METHODS:
-    gaps = []
-    for k in range(100):
-        rnd = randomize(stream, RandomizerSpec(method, member_seed(42, k)))
-        gaps.append(spectral_gap(propagate(rnd, alpha).matrix))
-    s = summary_stats(gaps)
+for method, _, s in summaries:
     print(f"{method:24s} {s.q1:9.6f} {s.median:9.6f} {s.q3:9.6f}")

@@ -53,6 +53,8 @@ def _parse_alpha_list(text: str) -> list[float]:
         if not 0 < alpha < math.inf:
             raise argparse.ArgumentTypeError(
                 f"bad alpha {tok!r}, expected a positive and finite number")
+        if alpha in alphas:
+            raise argparse.ArgumentTypeError(f"repeated alpha {tok!r} in {text!r}")
         alphas.append(alpha)
     if not alphas:
         raise argparse.ArgumentTypeError(f"no alpha values in {text!r}")
@@ -69,7 +71,11 @@ def _parse_alpha_grid(text: str) -> list[float]:
     if not (0 < lo < hi < math.inf) or pts < 2:
         raise argparse.ArgumentTypeError(
             "grid bounds must be positive, finite and ordered")
-    return list(np.geomspace(lo, hi, pts))
+    alphas = list(np.geomspace(lo, hi, pts))
+    if len(set(alphas)) < pts:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} repeats alpha values; widen it or use fewer points")
+    return alphas
 
 
 def _parse_methods(text: str) -> list[str]:

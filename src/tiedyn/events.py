@@ -18,7 +18,7 @@ class EventStreamError(ValueError):
     """Raised for malformed or invalid event-stream input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A single contact event (t, i, j) with dense node indices."""
 

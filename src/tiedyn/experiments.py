@@ -60,6 +60,10 @@ class ExperimentConfig:
             raise ValueError("need at least one alpha value")
         if not all(0 < a < math.inf for a in self.alphas):
             raise ValueError("alpha values must be positive and finite")
+        if len(set(self.alphas)) < len(self.alphas):
+            raise ValueError("alpha values must be distinct")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be distinct, got {self.methods}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -146,34 +150,27 @@ def run_ensemble(stream: EventStream, config: ExperimentConfig
                  ) -> tuple[list[ExperimentRecord], list[tuple[str, float, FiveNumberSummary]]]:
     """Original vs. randomized spectral gaps of M(T), per method and alpha.
 
-    Member streams are derived once per (method, member index) with the
-    documented (seed, member-index) split rule and reused across alphas.
+    One loop over members: the original stream, then each method's
+    members in seed order, seeded by the documented (seed, member-index)
+    split rule. Each member is drawn once, propagated at every alpha and
+    dropped before the next one is drawn.
     """
     records: list[ExperimentRecord] = []
-    summaries: list[tuple[str, float, FiveNumberSummary]] = []
-    T = stream.horizon
-    n_events = len(stream.events)
-
-    for alpha in config.alphas:
-        gap = spectral_gap(propagate(stream, alpha).matrix)
-        records.append(ExperimentRecord(
-            "ensemble", "original", alpha, None, T, n_events, gap))
-
-    for method in config.methods:
-        member_streams = []
-        for i in range(config.ensemble):
-            seed = member_seed(config.seed, i)
-            spec = RandomizerSpec(method, seed)
-            member_streams.append((seed, randomize(stream, spec)))
+    gaps: dict[tuple[str, float], list[float]] = {}
+    draws = [("original", None)] + [(method, member_seed(config.seed, i))
+                                    for method in config.methods
+                                    for i in range(config.ensemble)]
+    for method, seed in draws:
+        member = stream if seed is None else randomize(stream, RandomizerSpec(method, seed))
         for alpha in config.alphas:
-            gaps = []
-            for seed, rnd in member_streams:
-                gap = spectral_gap(propagate(rnd, alpha).matrix)
-                gaps.append(gap)
-                records.append(ExperimentRecord(
-                    "ensemble", method, alpha, seed, rnd.horizon,
-                    len(rnd.events), gap))
-            summaries.append((method, alpha, summary_stats(gaps)))
+            gap = spectral_gap(propagate(member, alpha).matrix)
+            gaps.setdefault((method, alpha), []).append(gap)
+            records.append(ExperimentRecord(
+                "ensemble", method, alpha, seed, member.horizon,
+                len(member.events), gap))
+        del member
+    summaries = [(method, alpha, summary_stats(g))
+                 for (method, alpha), g in gaps.items() if method != "original"]
     return records, summaries
 
 

@@ -237,7 +237,10 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
     nearest multiple of ``delta_t`` at or below. At each step the tie
     matrix decays by e^{-alpha*delta_t}, the step's event adjacency is
     added, and opinions are averaged through the column-normalized
-    transition.
+    transition. It decays by a plain multiply, not the timeline's
+    flushing ``decay_to``, on purpose: column normalization is
+    scale-invariant, so a column of tiny weights still defines a full
+    transition, which flushing them to zero would erase.
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be positive")

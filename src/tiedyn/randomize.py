@@ -172,6 +172,9 @@ def random_edge_shuffle(stream: EventStream, seed: int,
     return _rebuild(stream, sorted(edge_map.items()))
 
 
+# An if-chain over the module-level names, not a dict of functions:
+# bench/trace.py times each method by replacing its module attribute, and
+# a dict built at import would keep calling the unwrapped functions.
 def randomize(stream: EventStream, spec: RandomizerSpec) -> EventStream:
     """Dispatch to the method named in ``spec``."""
     if spec.method == "interval_shuffling":

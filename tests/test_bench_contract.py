@@ -59,17 +59,29 @@ def test_run_py_calls():
         assert len(member.events) == len(stream.events)
 
 
-def test_traced_run_records_every_timeline_kernel(tmp_path):
+def traced_span_names(tmp_path, *cli_args) -> list[str]:
+    """Span names of one bench/trace.py run of the CLI on STREAM."""
     inp = tmp_path / "events.txt"
     inp.write_text(STREAM)
     spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, str(BENCH / "trace.py"), str(spans),
-         "--input", str(inp), "--mode", "alpha-sweep", "--alpha", "1",
-         "--out", str(tmp_path / "o.csv")],
+        [sys.executable, str(BENCH / "trace.py"), str(spans), "--input", str(inp),
+         *cli_args, "--out", str(tmp_path / "o.csv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans.read_text())}
+    return [span[0] for span in json.loads(spans.read_text())]
+
+
+def test_traced_run_records_every_timeline_kernel(tmp_path):
+    names = traced_span_names(tmp_path, "--mode", "alpha-sweep", "--alpha", "1")
     for fn in ("decay_to", "apply_events", "laplacian"):
         assert f"tie_decay.{fn}" in names
+
+
+def test_traced_ensemble_records_every_randomizer(tmp_path):
+    # randomize() dispatches through module-level names, which trace.py wraps
+    names = traced_span_names(tmp_path, "--mode", "ensemble", "--method", "all",
+                              "--ensemble", "1", "--alpha", "1")
+    for fn in load_trace().LAYERS["randomize"]:
+        assert names.count(f"randomize.{fn}") == 1

@@ -11,6 +11,17 @@ from tiedyn.randomize import interval_shuffle, random_times
 from conftest import make_random_stream, streams
 
 
+def test_event_is_slotted_frozen_and_checked():
+    ev = Event(1.5, 0, 1)
+    assert not hasattr(ev, "__dict__")
+    with pytest.raises(AttributeError):
+        ev.time = 2.0
+    with pytest.raises(EventStreamError, match="negative event time"):
+        Event(-1.0, 0, 1)
+    with pytest.raises(EventStreamError, match="self-event"):
+        Event(0.0, 2, 2)
+
+
 def test_parse_minimal():
     s = parse_events("0 a b\n20 a b")
     assert s.node_count == 2

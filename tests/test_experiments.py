@@ -3,16 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tiedyn
+from conftest import make_random_stream
+from tiedyn import RandomizerSpec, member_seed, propagate, randomize, spectral_gap
 from tiedyn.cli import (_parse_alpha_grid, _parse_alpha_list, config_from_args,
                         main as cli_main)
 from tiedyn.events import parse_events
-from tiedyn.experiments import (CSV_HEADER, ExperimentConfig,
+from tiedyn.experiments import (CSV_HEADER, ExperimentConfig, ExperimentRecord,
                                 positive_slope_flags, records_to_csv, run,
                                 run_aggregate_compare, run_alpha_sweep,
                                 run_ensemble, run_time_series, summary_stats)
@@ -88,6 +91,59 @@ def test_ensemble_summaries_ordered():
         assert s.q1 <= s.median <= s.q3
     gaps = [r.gap for r in records]
     assert all(0 <= g <= 1 for g in gaps)
+
+
+def nested_ensemble(stream, cfg):
+    """The ensemble drawn method by method, every member before any gap."""
+    records = [ExperimentRecord("ensemble", "original", a, None, stream.horizon,
+                                len(stream.events),
+                                spectral_gap(propagate(stream, a).matrix))
+               for a in cfg.alphas]
+    summaries = []
+    for method in cfg.methods:
+        seeds = [member_seed(cfg.seed, i) for i in range(cfg.ensemble)]
+        members = [randomize(stream, RandomizerSpec(method, s)) for s in seeds]
+        for alpha in cfg.alphas:
+            gaps = [spectral_gap(propagate(m, alpha).matrix) for m in members]
+            records += [ExperimentRecord("ensemble", method, alpha, s, m.horizon,
+                                         len(m.events), g)
+                        for s, m, g in zip(seeds, members, gaps)]
+            summaries.append((method, alpha, summary_stats(gaps)))
+    return records, summaries
+
+
+def test_ensemble_equals_nested_reference():
+    stream = make_random_stream(3, max_events=20)
+    assert len(stream.edge_event_index()) >= 2 and stream.horizon > 0
+    cfg = ExperimentConfig(alphas=[0.3, 2.0], ensemble=3, seed=11)
+    records, summaries = run_ensemble(stream, cfg)
+    ref_records, ref_summaries = nested_ensemble(stream, cfg)
+    key = ExperimentRecord.sort_key
+    assert sorted(records, key=key) == sorted(ref_records, key=key)
+    assert len(records) == 2 * (1 + 4 * 3)
+    assert summaries == ref_summaries
+
+
+def test_ensemble_holds_one_member_at_a_time(monkeypatch):
+    members = []
+    live_at_propagate = []
+
+    def drawing(stream, spec):
+        member = randomize(stream, spec)
+        members.append(weakref.ref(member))
+        return member
+
+    def counting(stream, alpha, **kwargs):
+        live_at_propagate.append(sum(ref() is not None for ref in members))
+        return propagate(stream, alpha, **kwargs)
+
+    monkeypatch.setattr(tiedyn.experiments, "randomize", drawing)
+    monkeypatch.setattr(tiedyn.experiments, "propagate", counting)
+    cfg = ExperimentConfig(alphas=[0.5, 1.0], ensemble=3, seed=2)
+    records, _ = run_ensemble(triangle_stream(), cfg)
+    assert len(members) == 4 * 3
+    assert len(live_at_propagate) == len(records) == 2 * (1 + 4 * 3)
+    assert max(live_at_propagate) == 1
 
 
 def test_alpha_sweep_two_node_symbolic():
@@ -269,6 +325,29 @@ def test_alpha_grid_rejects_nonfinite_bounds(spec):
         _parse_alpha_grid(spec)
 
 
+def test_config_rejects_repeated_alphas_and_methods():
+    with pytest.raises(ValueError, match="alpha values must be distinct"):
+        ExperimentConfig(alphas=[1.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="methods must be distinct"):
+        ExperimentConfig(methods=["random_times", "random_times"])
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "alpha-sweep", "--alpha", "1,2,2"],
+    ["--mode", "time-series", "--alpha", "1,1.0"],
+    ["--mode", "alpha-sweep", "--alpha-grid", "1:1.0000000000000002:5"],
+])
+def test_cli_rejects_repeated_alpha(tmp_path, capsys, args):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    out = tmp_path / "o.csv"
+    rc = cli_main(["--input", str(inp), *args, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "repeat" in err
+    assert not out.exists()
+
+
 def test_csv_reproducible(tmp_path):
     inp = tmp_path / "events.txt"
     inp.write_text(TRIANGLE)
@@ -391,6 +470,7 @@ def test_config_file_line_equals_flag(tmp_path, flag, line):
     "alpah=5", "directed=ture", "mode=alpha_sweep", "method=xx", "alpha=abc",
     "alpha=,,", "config=other.cfg", "conf=other.cfg", "alpha 5", "ensemble=abc",
     "ensemble=0", "min-edges=-3", "seed=-1", "alpha=1,0", "alpha=inf",
+    "alpha=3,1,3",
 ])
 def test_cli_bad_config_line_is_one_error_with_its_line(tmp_path, capsys, line):
     inp = tmp_path / "events.txt"
