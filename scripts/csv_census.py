@@ -15,6 +15,10 @@ same inputs:
   at ``--alpha 0.01,1,100``, and ``--method all --ensemble 2 --seed 7``
   ensembles at the same alphas (not on ``aggregate-large``, whose
   ``random_times`` members have about 125k distinct times at N=242).
+- default alpha sweeps, undirected and ``--directed``, whose
+  ``--min-edges`` drops nodes: ``sweep-fast-decay`` with 10 (92 -> 89
+  nodes), ``ensemble-slow-decay`` and ``timeseries`` with 15 (64 -> 63
+  nodes), and one ``sweep-fast-decay`` run with 1, where nothing drops.
 
 For each output file (CSVs and ensemble summaries) it prints whether the
 bytes are identical, the number of rows that differ, the largest change
@@ -62,6 +66,9 @@ MODES = {
     "ensemble": ["--mode", "ensemble", "--alpha", ALPHAS, "--method", "all",
                  "--ensemble", "2", "--seed", "7"],
 }
+# (input, --min-edges) of the extra default sweeps that exercise node exclusion
+MIN_EDGES_RUNS = [("sweep-fast-decay", 10), ("ensemble-slow-decay", 15),
+                  ("timeseries", 15), ("sweep-fast-decay", 1)]
 
 
 def write_inputs(dest: Path) -> dict[str, tuple[Path, list[str]]]:
@@ -79,15 +86,18 @@ def write_inputs(dest: Path) -> dict[str, tuple[Path, list[str]]]:
 
 def cases(inputs):
     """(case name, CLI args without --out)."""
-    for name, (path, flags) in inputs.items():
+    runs = [(name, mode, [*mode_args, *flags])
+            for name, (_, flags) in inputs.items()
+            for mode, mode_args in MODES.items()
+            if not (mode == "ensemble" and name == "aggregate-large")]
+    runs += [(name, f"sweep-min-edges-{m}", [*MODES["sweep"], "--min-edges", str(m)])
+             for name, m in MIN_EDGES_RUNS]
+    for name, mode, run_args in runs:
         for directed in (False, True):
-            for mode, mode_args in MODES.items():
-                if mode == "ensemble" and name == "aggregate-large":
-                    continue
-                args = ["--input", str(path), *mode_args, *flags]
-                if directed:
-                    args.append("--directed")
-                yield f"{name}{'-directed' if directed else ''}-{mode}", args
+            args = ["--input", str(inputs[name][0]), *run_args]
+            if directed:
+                args.append("--directed")
+            yield f"{name}{'-directed' if directed else ''}-{mode}", args
 
 
 def start(tree: Path, args: list[str], out: Path) -> subprocess.Popen:

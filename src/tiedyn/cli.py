@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ensemble size (default 50)")
     p.add_argument("--seed", type=_int_at_least(0), help="base RNG seed (default 0)")
     p.add_argument("--min-edges", type=_int_at_least(0),
-                   help="drop nodes with fewer distinct incident edges")
+                   help="drop nodes with fewer distinct neighbours")
     p.add_argument("--directed", action="store_true",
                    help="treat events as directed")
     p.add_argument("--out", help="output CSV path")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 
 class EventStreamError(ValueError):
@@ -81,16 +81,6 @@ class EventStream:
             index[self.edge_key(ev.source, ev.target)].append(ev.time)
         return dict(index)
 
-    def replace_events(self, events: Iterable[Event]) -> "EventStream":
-        """New stream with the same node set but different events."""
-        evs = tuple(sorted(events, key=lambda e: e.time))
-        return EventStream(
-            events=evs,
-            node_count=self.node_count,
-            labels=self.labels,
-            directed=self.directed,
-        )
-
 
 def format_float(x: float) -> str:
     """Shortest round-trip decimal of ``float(x)``; integer values print
@@ -136,22 +126,13 @@ def parse_events(text: str | Iterable[str],
     raw.sort(key=lambda r: r[0])  # stable: preserves file order at ties
     t0 = raw[0][0]
 
-    label_to_idx: dict[str, int] = {}
-    for _, i, j in raw:
-        for label in (i, j):
-            if label not in label_to_idx:
-                label_to_idx[label] = len(label_to_idx)
-    labels = tuple(label_to_idx)
-
+    index: dict[str, int] = {}  # label -> dense index, i before j
     events = tuple(
-        Event(t - t0, label_to_idx[i], label_to_idx[j]) for t, i, j in raw
+        Event(t - t0, index.setdefault(i, len(index)), index.setdefault(j, len(index)))
+        for t, i, j in raw
     )
-    return EventStream(
-        events=events,
-        node_count=len(labels),
-        labels=labels,
-        directed=directed,
-    )
+    labels = tuple(index)
+    return EventStream(events, len(labels), labels, directed)
 
 
 def serialize_events(stream: EventStream) -> str:
@@ -187,40 +168,31 @@ def group_event_times(stream: EventStream) -> list[tuple[float, list[Event]]]:
 
 
 def exclude_low_degree_nodes(stream: EventStream, min_edges: int) -> EventStream:
-    """Drop nodes with fewer than ``min_edges`` distinct incident edges.
+    """Drop nodes with fewer than ``min_edges`` distinct neighbours.
 
-    Removal is iterated until stable, since dropping a node can lower
-    the edge counts of its neighbors. Surviving nodes are reindexed
-    densely; their original labels are kept.
+    Removal is peeled on the neighbour graph until stable, then the
+    events are filtered once. Survivors are reindexed densely and keep
+    their labels. When nothing drops, ``stream`` itself is returned.
     """
     if min_edges < 0:
         raise ValueError("min_edges must be >= 0")
-    if min_edges == 0:
-        return stream
-
+    neighbors: list[set[int]] = [set() for _ in range(stream.node_count)]
+    for ev in stream.events:
+        neighbors[ev.source].add(ev.target)
+        neighbors[ev.target].add(ev.source)
     alive = set(range(stream.node_count))
-    events = list(stream.events)
-    while True:
-        edge_count: dict[int, set[int]] = defaultdict(set)
-        for ev in events:
-            edge_count[ev.source].add(ev.target)
-            edge_count[ev.target].add(ev.source)
-        drop = {n for n in alive if len(edge_count.get(n, ())) < min_edges}
-        if not drop:
-            break
+    while drop := {n for n in alive if len(neighbors[n] & alive) < min_edges}:
         alive -= drop
-        events = [e for e in events if e.source in alive and e.target in alive]
-        if not events:
-            raise EventStreamError("node exclusion removed all events")
+    if len(alive) == stream.node_count:
+        return stream
+    if not alive:
+        raise EventStreamError("node exclusion removed all events")
 
     keep = sorted(alive)
     remap = {old: new for new, old in enumerate(keep)}
-    new_events = tuple(
-        Event(e.time, remap[e.source], remap[e.target]) for e in events
+    events = tuple(
+        Event(e.time, remap[e.source], remap[e.target])
+        for e in stream.events if e.source in remap and e.target in remap
     )
-    return EventStream(
-        events=new_events,
-        node_count=len(keep),
-        labels=tuple(stream.labels[i] for i in keep),
-        directed=stream.directed,
-    )
+    return EventStream(events, len(keep), tuple(stream.labels[i] for i in keep),
+                       stream.directed)

@@ -242,8 +242,10 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
     scale-invariant, so a column of tiny weights still defines a full
     transition, which flushing them to zero would erase.
     """
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     n = stream.node_count

@@ -65,16 +65,14 @@ def member_seed(base_seed: int, index: int) -> int:
 
 def _sorted_edge_index(stream: EventStream) -> list[tuple[tuple[int, int], list[float]]]:
     """Edge -> times mapping in a deterministic (sorted-key) order."""
-    index = stream.edge_event_index()
-    return [(key, sorted(index[key])) for key in sorted(index)]
+    return sorted(stream.edge_event_index().items())
 
 
 def _rebuild(stream: EventStream,
              edge_times: list[tuple[tuple[int, int], list[float]]]) -> EventStream:
-    events = [
-        Event(t, i, j) for (i, j), times in edge_times for t in times
-    ]
-    return stream.replace_events(events)
+    events = [Event(t, i, j) for (i, j), times in edge_times for t in times]
+    return EventStream(tuple(sorted(events, key=lambda e: e.time)),
+                       stream.node_count, stream.labels, stream.directed)
 
 
 def default_repetitions(stream: EventStream) -> int:

@@ -56,7 +56,8 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
 
     ``L`` is the Laplacian just after the events at ``t_start``; over the
     interval it decays as ``L e^{-alpha (t - t_start)}``. ``upto``
-    defaults to the horizon. ``upto`` exactly at an event time means the
+    defaults to the horizon and must be finite; a negative ``upto``
+    yields nothing. ``upto`` exactly at an event time means the
     events at that time are not applied (the walk stops just before
     them); a final partial interval covers any remaining open time.
     Each ``L`` is a fresh array, never a view of the walk's weights.
@@ -66,6 +67,8 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
     groups = group_event_times(stream)
     if upto is None:
         upto = stream.horizon
+    elif not math.isfinite(upto):
+        raise ValueError(f"upto must be finite, got {upto}")
     # the one weight matrix of the walk, decayed and bumped in place
     w = np.zeros((stream.node_count, stream.node_count))
     t_prev: float | None = None

@@ -174,6 +174,68 @@ def test_exclude_almost_isolated_node():
     assert "d" not in filtered.labels
 
 
+def rounds_exclusion(stream, min_edges):
+    """Reference exclusion that rescans and refilters the event list in
+    every round until no node drops."""
+    if min_edges == 0:
+        return stream
+    alive = set(range(stream.node_count))
+    events = list(stream.events)
+    while True:
+        neighbors = {n: set() for n in alive}
+        for ev in events:
+            neighbors[ev.source].add(ev.target)
+            neighbors[ev.target].add(ev.source)
+        drop = {n for n in alive if len(neighbors[n]) < min_edges}
+        if not drop:
+            break
+        alive -= drop
+        events = [e for e in events if e.source in alive and e.target in alive]
+        if not events:
+            raise EventStreamError("node exclusion removed all events")
+    keep = sorted(alive)
+    remap = {old: new for new, old in enumerate(keep)}
+    return EventStream(
+        events=tuple(Event(e.time, remap[e.source], remap[e.target]) for e in events),
+        node_count=len(keep),
+        labels=tuple(stream.labels[i] for i in keep),
+        directed=stream.directed,
+    )
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_exclude_matches_rounds_reference(directed):
+    outcomes = set()
+    for seed in range(300):
+        s = make_random_stream(seed, n_max=9, max_events=24, directed=directed)
+        for min_edges in range(5):
+            try:
+                expected = rounds_exclusion(s, min_edges)
+            except EventStreamError as err:
+                with pytest.raises(EventStreamError, match=str(err)):
+                    exclude_low_degree_nodes(s, min_edges)
+                outcomes.add("error")
+                continue
+            got = exclude_low_degree_nodes(s, min_edges)
+            assert got == expected
+            outcomes.add("same" if got.node_count == s.node_count else "dropped")
+    assert outcomes == {"error", "same", "dropped"}
+
+
+def test_exclude_returns_input_when_nothing_drops():
+    s = parse_events("0 a b\n1 b c\n2 c d")
+    assert exclude_low_degree_nodes(s, 1) is s
+    assert exclude_low_degree_nodes(s, 0) is s
+
+
+def test_edge_event_index_times_are_sorted():
+    for seed in range(20):
+        for directed in (False, True):
+            s = make_random_stream(seed, directed=directed)
+            for times in s.edge_event_index().values():
+                assert times == sorted(times)
+
+
 def test_edge_index_union_is_event_multiset():
     s = make_random_stream(3)
     index = s.edge_event_index()

@@ -222,3 +222,32 @@ def test_propagator_eigenvalues_in_unit_disk(seed):
     w = np.linalg.eigvals(M)
     assert np.max(np.abs(w)) <= 1 + 1e-10
     assert np.min(np.abs(w)) > 0
+
+
+@pytest.mark.parametrize("upto", [math.nan, math.inf, -math.inf])
+def test_nonfinite_upto_rejected(upto):
+    # nan used to return M(T), -inf the identity, and inf failed later on dt
+    s = parse_events("0 a b\n1 b c\n2 a c")
+    with pytest.raises(ValueError, match="upto"):
+        propagate(s, 1.0, upto=upto)
+    with pytest.raises(ValueError, match="upto"):
+        evolve_opinions(np.ones(3), s, 1.0, upto=upto)
+
+
+def test_negative_upto_is_identity():
+    s = parse_events("0 a b\n1 b c\n2 a c")
+    assert np.array_equal(propagate(s, 1.0, upto=-1.0).matrix, np.eye(3))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_degroot_run_rejects_bad_alpha(alpha):
+    s = parse_events("0 a b\n1 b c\n2 a c")
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        degroot_run(np.array([1.0, 0.0, -1.0]), s, alpha, 0.5, 8)
+
+
+@pytest.mark.parametrize("delta_t", [0.0, -1.0, math.nan, math.inf])
+def test_degroot_run_rejects_bad_delta_t(delta_t):
+    s = parse_events("0 a b\n1 b c\n2 a c")
+    with pytest.raises(ValueError, match="delta_t must be positive and finite"):
+        degroot_run(np.array([1.0, 0.0, -1.0]), s, 1.0, delta_t, 8)

@@ -248,7 +248,9 @@ def reference_edge_shuffle(stream, seed):
             skipped += 1
     events = [Event(t, i, j) for (i, j), times in sorted(edge_map.items())
               for t in times]
-    return stream.replace_events(events), retries, skipped
+    out = EventStream(tuple(sorted(events, key=lambda e: e.time)),
+                      stream.node_count, stream.labels, stream.directed)
+    return out, retries, skipped
 
 
 def dense_stream(directed):
