@@ -167,7 +167,7 @@ def run_ensemble(stream: EventStream, config: ExperimentConfig
             gaps.setdefault((method, alpha), []).append(gap)
             records.append(ExperimentRecord(
                 "ensemble", method, alpha, seed, member.horizon,
-                len(member.events), gap))
+                len(member.times), gap))
         del member
     summaries = [(method, alpha, summary_stats(g))
                  for (method, alpha), g in gaps.items() if method != "original"]
@@ -178,7 +178,7 @@ def run_alpha_sweep(stream: EventStream, config: ExperimentConfig
                     ) -> list[ExperimentRecord]:
     """Gap of M(T) per alpha, with positive-slope intervals flagged."""
     T = stream.horizon
-    n_events = len(stream.events)
+    n_events = len(stream.times)
     alphas = sorted(config.alphas)
     gaps = [spectral_gap(propagate(stream, a).matrix) for a in alphas]
     flags = positive_slope_flags(alphas, gaps)
@@ -209,7 +209,7 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
     for alpha in config.alphas:
         M = np.eye(stream.node_count)
         # one factor per group but the last, which has no following interval
-        for (t_k, evs), Y in zip_longest(groups, iter_factors(stream, alpha)):
+        for (t_k, start, stop), Y in zip_longest(groups, iter_factors(stream, alpha)):
             spectrum = magnitude_spectrum(M)
             gap = spectrum.gap()
             flags = []
@@ -226,7 +226,7 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
             else:
                 flags.append("last_event_time")
             records.append(ExperimentRecord(
-                "time_series", "original", alpha, None, t_k, len(evs),
+                "time_series", "original", alpha, None, t_k, stop - start,
                 gap, ratio, ";".join(flags)))
     return records
 
@@ -236,7 +236,7 @@ def run_aggregate_compare(stream: EventStream, config: ExperimentConfig
     """Tie-decay gap of M(T) next to the aggregate-network gap at T."""
     records: list[ExperimentRecord] = []
     T = stream.horizon
-    n_events = len(stream.events)
+    n_events = len(stream.times)
     for alpha in config.alphas:
         if T <= 0:
             # all events at t0: no time elapses, so both maps are identity

@@ -17,10 +17,27 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo
 
-from .events import Event, EventStream
+from .events import EventStream
 from .tie_decay import apply_events, intervals
+
+
+def _eigh_lower(B: np.ndarray, signature: str | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(B, UPLO="L") with the contract of numpy's ``eigh_lo``
+    gufunc: NaN eigenvalues and vectors where ``syevd`` does not converge."""
+    try:
+        return np.linalg.eigh(B, UPLO="L")
+    except np.linalg.LinAlgError:
+        return np.full(B.shape[-1], np.nan), np.full(B.shape, np.nan)
+
+
+try:
+    # numpy's syevd gufunc on the lower triangle: np.linalg.eigh(B, UPLO="L")
+    # without its wrapper, which costs more than the solve on small blocks
+    from numpy.linalg._umath_linalg import eigh_lo
+except ImportError:  # a private name, which a numpy release may drop
+    eigh_lo = _eigh_lower
 
 _COLSUM_TOL = 1e-10
 _NEG_TOL = 1e-12
@@ -100,8 +117,6 @@ def _expm(A: np.ndarray) -> np.ndarray:
     y = (beta * r) * A[1:, 0] - 0.5 * (beta * r) ** 2 * A[0, 0]
     B = A[1:, 1:] - y[:, None]
     B -= y
-    # numpy's syevd gufunc on the lower triangle: np.linalg.eigh(B, UPLO="L")
-    # without its wrapper, which costs more than the solve on small blocks
     vals, vecs = eigh_lo(B, signature="d->dd")
     if vals[0] != vals[0]:  # no convergence: the gufunc returns NaN
         raise np.linalg.LinAlgError("syevd did not converge")
@@ -193,8 +208,8 @@ def ode_oracle(x0: np.ndarray, stream: EventStream, alpha: float,
     L(t) = L(t_prev+) e^{-alpha (t - t_prev)}. This path is independent
     of the matrix-exponential propagator and exists for verification.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x0, dtype=float).copy()
 
     def deriv(s: float, x: np.ndarray, LT: np.ndarray) -> np.ndarray:
@@ -253,14 +268,14 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
     if y.shape != (n,):
         raise ValueError("opinion vector dimension mismatch")
 
-    per_step: dict[int, list[Event]] = {}
-    for ev in stream.events:
-        per_step.setdefault(int(ev.time // delta_t), []).append(ev)
-
+    # step of each event, non-decreasing since the times are sorted
+    step_of = stream.times // delta_t
     A_tilde = np.zeros((n, n))
     decay = math.exp(-alpha * delta_t)
     for k in range(steps):
         A_tilde = A_tilde * decay
-        apply_events(A_tilde, per_step.get(k, ()), stream.directed)
+        start, stop = np.searchsorted(step_of, (k, k + 1))
+        apply_events(A_tilde, stream.sources[start:stop], stream.targets[start:stop],
+                     stream.directed)
         y = y @ degroot_transition(A_tilde)
     return y

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .events import Event, EventStream, group_event_times
+from .events import EventStream, group_event_times
 
 METHODS = (
     "interval_shuffling",
@@ -70,8 +71,12 @@ def _sorted_edge_index(stream: EventStream) -> list[tuple[tuple[int, int], list[
 
 def _rebuild(stream: EventStream,
              edge_times: list[tuple[tuple[int, int], list[float]]]) -> EventStream:
-    events = [Event(t, i, j) for (i, j), times in edge_times for t in times]
-    return EventStream(tuple(sorted(events, key=lambda e: e.time)),
+    """Events edge by edge in the given order, then stably sorted by time."""
+    counts = [len(times) for _, times in edge_times]
+    times = np.fromiter(chain.from_iterable(t for _, t in edge_times), float, sum(counts))
+    pairs = np.array([key for key, _ in edge_times], dtype=np.intp).repeat(counts, axis=0)
+    order = np.argsort(times, kind="stable")
+    return EventStream(times[order], pairs[order, 0], pairs[order, 1],
                        stream.node_count, stream.labels, stream.directed)
 
 

@@ -10,11 +10,11 @@ inter-event interval.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .events import Event, EventStream, group_event_times
+from .events import EventStream, group_event_times
 
 # Weights this small are flushed to exact zero to avoid subnormal drag.
 _FLUSH_THRESHOLD = 1e-300
@@ -32,12 +32,13 @@ def decay_to(w: np.ndarray, alpha: float, dt: float) -> None:
     w[w < _FLUSH_THRESHOLD] = 0.0
 
 
-def apply_events(w: np.ndarray, events: Iterable[Event], directed: bool) -> None:
-    """Add 1 in place to the weight of every event's pair."""
-    for ev in events:
-        w[ev.source, ev.target] += 1.0
-        if not directed:
-            w[ev.target, ev.source] += 1.0
+def apply_events(w: np.ndarray, sources: np.ndarray, targets: np.ndarray,
+                 directed: bool) -> None:
+    """Add 1 in place to the weight of every event's pair (``sources[k]``,
+    ``targets[k]``); repeated pairs add up."""
+    np.add.at(w, (sources, targets), 1.0)
+    if not directed:
+        np.add.at(w, (targets, sources), 1.0)
 
 
 def laplacian(weights: np.ndarray) -> np.ndarray:
@@ -72,13 +73,14 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
     # the one weight matrix of the walk, decayed and bumped in place
     w = np.zeros((stream.node_count, stream.node_count))
     t_prev: float | None = None
-    for t_g, evs in groups:
+    for t_g, start, stop in groups:
         if t_g > upto or (t_prev is not None and t_g >= upto):
             break
         if t_prev is not None:
             yield t_prev, t_g - t_prev, laplacian(w)
             decay_to(w, alpha, t_g - t_prev)
-        apply_events(w, evs, stream.directed)
+        apply_events(w, stream.sources[start:stop], stream.targets[start:stop],
+                     stream.directed)
         t_prev = t_g
     if t_prev is not None and upto > t_prev:
         yield t_prev, upto - t_prev, laplacian(w)

@@ -16,7 +16,7 @@ def make_random_stream(seed, n_max=6, max_events=30, directed=False):
     for t in times:
         i, j = rng.choice(n, size=2, replace=False)
         events.append(Event(float(t), int(i), int(j)))
-    return EventStream(
+    return EventStream.from_events(
         events=tuple(events),
         node_count=n,
         labels=tuple(str(k) for k in range(n)),
@@ -49,14 +49,14 @@ def streams(draw):
     events = tuple(Event(t - times[0], index[i], index[j])
                    for t, (i, j) in zip(times, pairs))
     order = sorted(index, key=index.get)
-    return EventStream(events, len(index), tuple(names[k] for k in order),
-                       directed=draw(st.booleans()))
+    return EventStream.from_events(events, len(index), tuple(names[k] for k in order),
+                                   directed=draw(st.booleans()))
 
 
 @pytest.fixture
 def two_node_stream():
     """Single edge, events at t=0 and t=20."""
-    return EventStream(
+    return EventStream.from_events(
         events=(Event(0.0, 0, 1), Event(20.0, 0, 1)),
         node_count=2,
         labels=("a", "b"),

@@ -56,8 +56,8 @@ def random_stream(seed, n_max, max_events, horizon=10.0):
         Event(float(t), *map(int, rng.choice(n, size=2, replace=False)))
         for t in times
     )
-    return EventStream(events=events, node_count=n,
-                       labels=tuple(map(str, range(n))))
+    return EventStream.from_events(events=events, node_count=n,
+                                   labels=tuple(map(str, range(n))))
 
 
 def test_criterion_1_stochasticity():
@@ -172,7 +172,7 @@ def test_criterion_4_degroot_correspondence():
         alpha = 0.7
         rng = np.random.default_rng(seed)
         x0 = rng.normal(size=stream.node_count)
-        times = [t for t, _ in group_event_times(stream)]
+        times = [t for t, _, _ in group_event_times(stream)]
         upto = times[-1]
         via_m = x0 @ propagate(stream, alpha, upto=upto).matrix
         # product of the discrete-time transitions along the event times

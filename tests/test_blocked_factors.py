@@ -6,7 +6,9 @@ propagator is the product of those. Live-block factors, propagators,
 opinions and time-series rows must match it to 1e-12 entrywise.
 """
 
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -46,8 +48,8 @@ def sparse_stream(seed, directed=False, n=12, n_events=40):
     times -= times[0]
     events = tuple(Event(float(t), *map(int, rng.choice(n, size=2, replace=False)))
                    for t in times)
-    return EventStream(events=events, node_count=n,
-                       labels=tuple(map(str, range(n))), directed=directed)
+    return EventStream.from_events(events=events, node_count=n,
+                                   labels=tuple(map(str, range(n))), directed=directed)
 
 
 def crossing_stream():
@@ -88,7 +90,7 @@ def test_propagate_matches_dense_product(seed, directed):
 @pytest.mark.parametrize("seed", range(4))
 def test_propagate_upto_inside_interval(seed):
     stream = sparse_stream(seed)
-    times = [t for t, _ in group_event_times(stream)]
+    times = [t for t, _, _ in group_event_times(stream)]
     for k in (1, len(times) // 2, len(times) - 1):
         upto = 0.5 * (times[k - 1] + times[k])
         for alpha in (1e-3, 1.0, 1e3):
@@ -205,6 +207,47 @@ def test_eigh_gufunc_is_numpy_eigh_lower(monkeypatch):
         reference = np.linalg.eigh(B, UPLO="L")
         assert np.array_equal(vals, reference.eigenvalues)
         assert np.array_equal(vecs, reference.eigenvectors)
+
+
+def test_eigh_fallback_gives_the_same_factors(monkeypatch):
+    # np.linalg.eigh(B, UPLO="L") runs the same syevd: bit-identical blocks
+    streams = (sparse_stream(0), make_random_stream(3, n_max=9))
+    expected = [fac.block for s in streams for fac in iter_factors(s, 1.0)]
+    monkeypatch.setattr(propagator, "eigh_lo", propagator._eigh_lower)
+    got = [fac.block for s in streams for fac in iter_factors(s, 1.0)]
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_eigh_fallback_is_taken_without_the_gufunc(monkeypatch):
+    # a fresh copy of the module, loaded while numpy lacks the private name
+    # (np.linalg.eigh itself calls it, so it is back for the solves)
+    import numpy.linalg._umath_linalg as umath_linalg
+    spec = importlib.util.spec_from_file_location("tiedyn._propagator_probe",
+                                                  propagator.__file__)
+    probe = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, probe)  # dataclasses look it up
+    with monkeypatch.context() as m:
+        m.delattr(umath_linalg, "eigh_lo")
+        spec.loader.exec_module(probe)
+    assert probe.eigh_lo is probe._eigh_lower
+    L, c = heavy_edge_laplacian(0, scale=10.0)
+    A = c * L.T
+    assert np.array_equal(probe._expm(A.copy()), propagator._expm(A.copy()))
+
+
+def test_eigh_fallback_returns_nan_when_syevd_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    vals, vecs = propagator._eigh_lower(np.eye(3), signature="d->dd")
+    assert vals.shape == (3,) and vecs.shape == (3, 3)
+    assert np.isnan(vals).all() and np.isnan(vecs).all()
+    monkeypatch.setattr(propagator, "eigh_lo", propagator._eigh_lower)
+    L, c = heavy_edge_laplacian(0, scale=10.0)
+    with pytest.raises(np.linalg.LinAlgError, match="syevd did not converge"):
+        _expm(c * L.T)
 
 
 @pytest.mark.parametrize("stream", [sparse_stream(1), make_random_stream(1)],

@@ -138,18 +138,18 @@ def test_directed_mode_counts_ordered_pairs():
 def test_group_event_times_basic():
     s = parse_events("0 a b\n0 b c\n20 a b")
     groups = group_event_times(s)
-    assert [t for t, _ in groups] == [0.0, 20.0]
-    assert [len(evs) for _, evs in groups] == [2, 1]
+    assert [t for t, _, _ in groups] == [0.0, 20.0]
+    assert [stop - start for _, start, stop in groups] == [2, 1]
 
 
 def test_group_event_times_is_partition():
     for seed in range(10):
         s = make_random_stream(seed)
         groups = group_event_times(s)
-        assert sum(len(evs) for _, evs in groups) == len(s.events)
-        times = [t for t, _ in groups]
+        assert sum(stop - start for _, start, stop in groups) == len(s.events)
+        times = [t for t, _, _ in groups]
         assert all(a < b for a, b in zip(times, times[1:]))
-        flat = [e for _, evs in groups for e in evs]
+        flat = [e for _, start, stop in groups for e in s.events[start:stop]]
         assert tuple(flat) == s.events
 
 
@@ -195,7 +195,7 @@ def rounds_exclusion(stream, min_edges):
             raise EventStreamError("node exclusion removed all events")
     keep = sorted(alive)
     remap = {old: new for new, old in enumerate(keep)}
-    return EventStream(
+    return EventStream.from_events(
         events=tuple(Event(e.time, remap[e.source], remap[e.target]) for e in events),
         node_count=len(keep),
         labels=tuple(stream.labels[i] for i in keep),
@@ -245,8 +245,8 @@ def test_edge_index_union_is_event_multiset():
 
 def test_unsorted_events_rejected():
     with pytest.raises(EventStreamError, match="sorted"):
-        EventStream(events=(Event(5.0, 0, 1), Event(1.0, 0, 1)),
-                    node_count=2, labels=("a", "b"))
+        EventStream.from_events(events=(Event(5.0, 0, 1), Event(1.0, 0, 1)),
+                                node_count=2, labels=("a", "b"))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -257,4 +257,4 @@ def test_stream_rejects_nonfinite_time(bad, position):
     times[position] = bad
     events = tuple(Event(t, k % 3, (k + 1) % 3) for k, t in enumerate(times))
     with pytest.raises(EventStreamError, match="must be finite"):
-        EventStream(events=events, node_count=3, labels=("a", "b", "c"))
+        EventStream.from_events(events=events, node_count=3, labels=("a", "b", "c"))

@@ -143,6 +143,14 @@ def test_ode_oracle_rejects_bad_step(two_node_stream):
         ode_oracle(np.zeros(2), two_node_stream, 1.0, step=0.0)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
+def test_ode_oracle_step_must_be_positive_and_finite(two_node_stream, step):
+    # a NaN step used to return NaN opinions, an infinite one to take one
+    # RK4 step per interval
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        ode_oracle(np.zeros(2), two_node_stream, 1.0, step=step)
+
+
 def test_ode_oracle_matches_two_node():
     s = parse_events("0 a b")
     x0 = np.array([1.0, 0.0])

@@ -248,8 +248,8 @@ def reference_edge_shuffle(stream, seed):
             skipped += 1
     events = [Event(t, i, j) for (i, j), times in sorted(edge_map.items())
               for t in times]
-    out = EventStream(tuple(sorted(events, key=lambda e: e.time)),
-                      stream.node_count, stream.labels, stream.directed)
+    out = EventStream.from_events(sorted(events, key=lambda e: e.time),
+                                  stream.node_count, stream.labels, stream.directed)
     return out, retries, skipped
 
 
@@ -260,7 +260,7 @@ def dense_stream(directed):
     pairs = [(i, j) for i in range(6) for j in range(6)
              if i != j and (directed or i < j) and {i, j} not in ({0, 3}, {1, 4}, {2, 5})]
     events = tuple(Event(float(t), i, j) for t, (i, j) in enumerate(pairs))
-    return EventStream(events, 6, tuple("abcdef"), directed)
+    return EventStream.from_events(events, 6, tuple("abcdef"), directed)
 
 
 @pytest.mark.parametrize("directed", [False, True])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tiedyn.events import Event, group_event_times
+from tiedyn.events import group_event_times
 from tiedyn.tie_decay import apply_events, decay_to, intervals, laplacian
 
 from conftest import make_random_stream
@@ -58,27 +58,27 @@ def test_decay_flushes_tiny_weights():
 
 def test_apply_empty_is_noop():
     w = pair_weights(1.0)
-    apply_events(w, [], False)
+    apply_events(w, np.array([], dtype=int), np.array([], dtype=int), False)
     assert np.array_equal(w, pair_weights(1.0))
 
 
 def test_apply_undirected_bump():
     w = np.zeros((2, 2))
-    apply_events(w, [Event(0.0, 0, 1)], False)
+    apply_events(w, np.array([0]), np.array([1]), False)
     assert w[0, 1] == 1.0
     assert w[1, 0] == 1.0
 
 
 def test_apply_directed_bump():
     w = np.zeros((2, 2))
-    apply_events(w, [Event(0.0, 0, 1)], True)
+    apply_events(w, np.array([0]), np.array([1]), True)
     assert w[0, 1] == 1.0
     assert w[1, 0] == 0.0
 
 
 def test_apply_simultaneous_events_add():
     w = np.zeros((2, 2))
-    apply_events(w, [Event(0.0, 0, 1), Event(0.0, 0, 1)], False)
+    apply_events(w, np.array([0, 0]), np.array([1, 1]), False)
     assert w[0, 1] == 2.0
 
 
@@ -97,12 +97,12 @@ def _evolve(stream, alpha):
     per event. Yields (t, weights) after the events at each time."""
     w = np.zeros((stream.node_count, stream.node_count))
     t_prev = None
-    for t, evs in group_event_times(stream):
+    for t, start, stop in group_event_times(stream):
         w = w.copy()
         if t_prev is not None:
             w *= np.exp(-alpha * (t - t_prev))
             w[w < 1e-300] = 0.0
-        for ev in evs:
+        for ev in stream.events[start:stop]:
             w[ev.source, ev.target] += 1.0
             if not stream.directed:
                 w[ev.target, ev.source] += 1.0
@@ -130,11 +130,11 @@ def _recursion_laplacians(stream, alpha):
     n = stream.node_count
     L_rec = np.zeros((n, n))
     t_prev = None
-    for t, evs in group_event_times(stream):
+    for t, start, stop in group_event_times(stream):
         if t_prev is not None:
             L_rec = L_rec * math.exp(-alpha * (t - t_prev))
         L_step = np.zeros((n, n))
-        for ev in evs:
+        for ev in stream.events[start:stop]:
             for i, j in ((ev.source, ev.target), (ev.target, ev.source)):
                 L_step[i, j] -= 1.0
                 L_step[i, i] += 1.0

@@ -28,7 +28,7 @@ def ring_stream(n=140, extra=12, seed=0):
     for t in np.round(np.sort(rng.uniform(1, 30, extra)), 1):
         i, j = rng.choice(n, size=2, replace=False)
         events.append(Event(float(t), int(i), int(j)))
-    return EventStream(tuple(events), n, tuple(str(k) for k in range(n)))
+    return EventStream.from_events(events, n, tuple(str(k) for k in range(n)))
 
 
 STREAMS = {
