@@ -6,7 +6,10 @@ Usage:
 
 SRC_A and SRC_B are the roots of two checkouts (each with ``src/tiedyn``).
 Both run ``python3 -m tiedyn.cli`` with BLAS pinned to one thread on the
-same inputs:
+same inputs. The runs inherit this script's CPU affinity, which decides
+whether a tree that runs tasks in a process pool uses it: run the census
+as is and under ``taskset -c 0`` to compare both the pooled and the
+serial paths. The inputs:
 
 - the four ``bench/gen.py`` streams of the benchmark workloads at seed
   101 (``aggregate-large`` with ``--min-edges 2``) and the three

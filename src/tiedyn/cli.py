@@ -6,7 +6,9 @@ Usage:
 A flat key=value config file can supply any flag: keys are the flag
 names without the leading dashes, and each line goes through the flag
 parser as ``--key=value``. ``directed`` takes true/false, 1/0 or yes/no.
-Flags given on the command line override the file. Exit code is 0 on
+Flags given on the command line override the file. ``--alpha`` and
+``--alpha-grid`` are one setting: either one on the command line replaces
+both in the file, and giving both in one place is an error. Exit code is 0 on
 success; every error, from a flag or a file line, prints a single line
 to stderr (naming ``file:line`` for a file line) and exits 1.
 """
@@ -90,13 +92,14 @@ def _parse_methods(text: str) -> list[str]:
 def _read_config_file(parser: argparse.ArgumentParser,
                       path: str) -> argparse.Namespace:
     """Parse each ``key=value`` line as the flag ``--key=value``."""
-    ns = argparse.Namespace()
+    ns = argparse.Namespace(alphas=None, alpha_grid=None)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             key, eq, value = (s.strip() for s in stripped.partition("="))
+            had_alphas = ns.alphas is not None
             try:
                 if not eq:
                     raise ValueError("expected key=value")
@@ -106,6 +109,10 @@ def _read_config_file(parser: argparse.ArgumentParser,
                 parser.parse_args(tokens, namespace=ns)
                 if ns.config is not None:  # also catches abbreviations
                     raise ValueError("config files do not nest")
+                if ns.alphas is not None and ns.alpha_grid is not None:
+                    this, other = (("--alpha-grid", "--alpha") if had_alphas
+                                   else ("--alpha", "--alpha-grid"))
+                    raise ValueError(f"argument {this}: not allowed with argument {other}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return ns
@@ -119,10 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--input", help="event-list file (t i j per line)")
     p.add_argument("--mode", choices=_MODES, default="alpha-sweep")
-    p.add_argument("--alpha", dest="alphas", type=_parse_alpha_list,
-                   metavar="A[,A...]", help="comma-separated decay rates")
-    p.add_argument("--alpha-grid", type=_parse_alpha_grid, metavar="LO:HI:POINTS",
-                   help="log-spaced decay-rate grid")
+    alphas = p.add_mutually_exclusive_group()  # one setting, given either way
+    alphas.add_argument("--alpha", dest="alphas", type=_parse_alpha_list,
+                        metavar="A[,A...]", help="comma-separated decay rates")
+    alphas.add_argument("--alpha-grid", type=_parse_alpha_grid, metavar="LO:HI:POINTS",
+                        help="log-spaced decay-rate grid")
     p.add_argument("--method", dest="methods", type=_parse_methods,
                    metavar="{is,sts,rt,res,all}",
                    help="randomization method(s) for ensemble mode")
@@ -141,7 +149,10 @@ def config_from_args(argv: list[str] | None = None) -> ExperimentConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:  # the file first, then the command line over it
-        args = parser.parse_args(argv, _read_config_file(parser, args.config))
+        from_file = _read_config_file(parser, args.config)
+        if args.alphas is not None or args.alpha_grid is not None:
+            from_file.alphas = from_file.alpha_grid = None  # replaced as a unit
+        args = parser.parse_args(argv, from_file)
     if args.alphas is None:
         args.alphas = args.alpha_grid
     if args.alphas is None and args.mode == "alpha-sweep":

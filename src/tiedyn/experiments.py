@@ -14,6 +14,7 @@ configurations yield byte-identical CSV.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -30,6 +31,15 @@ from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
                        magnitude_spectrum, shrinkage_ratio, spectral_gap)
 
 SLOPE_DEAD_BAND = 1e-9
+
+# The pool runs only for at least this much work: interval steps (one per
+# interval and alpha, summed over tasks) times the node count (_walk_work).
+# A two-worker fork pool costs about 20 ms to start. On 2 vCPUs with one
+# BLAS thread, it broke even with the serial loop near 6,000-8,000, on
+# streams of N = 8-64 nodes with 2-5 tasks: 1.1-4x slower below, 0.7-0.8x
+# from 12,000 up. The margin covers tasks of unequal cost, such as one
+# slow-decay alpha beside a fast one.
+_POOL_MIN_WORK = 20_000
 
 CSV_HEADER = "mode,method,alpha,seed,t_n,event_count,gap,shrinkage_ratio,flags"
 SUMMARY_HEADER = "method,alpha,q1,median,q3,lo,hi,n_outliers"
@@ -146,29 +156,88 @@ def positive_slope_flags(alphas: list[float], gaps: list[float]) -> list[bool]:
     return flags
 
 
+def _walk_work(stream: EventStream) -> int:
+    """The work of one walk over ``stream`` at one alpha, in the unit of
+    ``_POOL_MIN_WORK``: its interval steps times its node count."""
+    return int(np.count_nonzero(np.diff(stream.times))) * stream.node_count
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity mask, as ``taskset`` sets)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_task_fn = None  # set in each pool worker only, by _init_worker
+
+
+def _init_worker(fn) -> None:
+    global _task_fn
+    _task_fn = fn
+
+
+def _run_task(task):
+    return _task_fn(task)
+
+
+def _map_tasks(fn, tasks: list, work: int) -> list:
+    """``[fn(task) for task in tasks]``, on every CPU when that pays.
+
+    With more than one task and CPU, at least ``_POOL_MIN_WORK`` work and
+    the ``fork`` start method, the tasks run in a pool of
+    ``min(CPUs, tasks)`` forked workers. ``fn`` and the stream it closes
+    over reach the workers through the fork, unpickled, where ``spawn``
+    would import numpy again and pickle the stream into every worker; a
+    task and its result are pickled. The pool forks its workers before it
+    starts its own thread, and OpenBLAS stops its threads before a fork
+    (``pthread_atfork``). Results come back in task order, and the
+    first failed task in that order raises its own exception, as the
+    serial loop would; a worker that dies raises ``BrokenProcessPool``.
+    Every worker is joined before this returns or raises.
+    """
+    workers = min(_cpus(), len(tasks))
+    if workers < 2 or work < _POOL_MIN_WORK:
+        return [fn(task) for task in tasks]
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(fn,))
+    try:
+        return list(pool.map(_run_task, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_ensemble(stream: EventStream, config: ExperimentConfig
                  ) -> tuple[list[ExperimentRecord], list[tuple[str, float, FiveNumberSummary]]]:
     """Original vs. randomized spectral gaps of M(T), per method and alpha.
 
-    One loop over members: the original stream, then each method's
-    members in seed order, seeded by the documented (seed, member-index)
-    split rule. Each member is drawn once, propagated at every alpha and
-    dropped before the next one is drawn.
+    A task is one member: the original stream, then each method's members
+    in seed order, seeded by the documented (seed, member-index) split
+    rule. Each member is drawn, propagated at every alpha and dropped
+    before its task returns, so each worker holds one member at a time.
     """
-    records: list[ExperimentRecord] = []
-    gaps: dict[tuple[str, float], list[float]] = {}
+    def member_task(draw):
+        method, seed = draw
+        member = stream if seed is None else randomize(stream, RandomizerSpec(method, seed))
+        return (member.horizon, len(member.times),
+                [spectral_gap(propagate(member, a).matrix) for a in config.alphas])
+
     draws = [("original", None)] + [(method, member_seed(config.seed, i))
                                     for method in config.methods
                                     for i in range(config.ensemble)]
-    for method, seed in draws:
-        member = stream if seed is None else randomize(stream, RandomizerSpec(method, seed))
-        for alpha in config.alphas:
-            gap = spectral_gap(propagate(member, alpha).matrix)
+    results = _map_tasks(member_task, draws,
+                         _walk_work(stream) * len(config.alphas) * len(draws))
+    records: list[ExperimentRecord] = []
+    gaps: dict[tuple[str, float], list[float]] = {}
+    for (method, seed), (horizon, n_events, member_gaps) in zip(draws, results):
+        for alpha, gap in zip(config.alphas, member_gaps):
             gaps.setdefault((method, alpha), []).append(gap)
             records.append(ExperimentRecord(
-                "ensemble", method, alpha, seed, member.horizon,
-                len(member.times), gap))
-        del member
+                "ensemble", method, alpha, seed, horizon, n_events, gap))
     summaries = [(method, alpha, summary_stats(g))
                  for (method, alpha), g in gaps.items() if method != "original"]
     return records, summaries
@@ -180,7 +249,8 @@ def run_alpha_sweep(stream: EventStream, config: ExperimentConfig
     T = stream.horizon
     n_events = len(stream.times)
     alphas = sorted(config.alphas)
-    gaps = [spectral_gap(propagate(stream, a).matrix) for a in alphas]
+    gaps = _map_tasks(lambda a: spectral_gap(propagate(stream, a).matrix),
+                      alphas, _walk_work(stream) * len(alphas))
     flags = positive_slope_flags(alphas, gaps)
     return [
         ExperimentRecord("alpha_sweep", "original", a, None, T, n_events,
@@ -204,9 +274,10 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
     only on rows whose |lambda_2| is separated from |lambda_1| and
     |lambda_3|.
     """
-    records: list[ExperimentRecord] = []
     groups = group_event_times(stream)
-    for alpha in config.alphas:
+
+    def series(alpha):
+        records = []
         M = np.eye(stream.node_count)
         # one factor per group but the last, which has no following interval
         for (t_k, start, stop), Y in zip_longest(groups, iter_factors(stream, alpha)):
@@ -228,23 +299,29 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
             records.append(ExperimentRecord(
                 "time_series", "original", alpha, None, t_k, stop - start,
                 gap, ratio, ";".join(flags)))
-    return records
+        return records
+
+    per_alpha = _map_tasks(series, config.alphas, _walk_work(stream) * len(config.alphas))
+    return [r for records in per_alpha for r in records]
 
 
 def run_aggregate_compare(stream: EventStream, config: ExperimentConfig
                           ) -> list[ExperimentRecord]:
     """Tie-decay gap of M(T) next to the aggregate-network gap at T."""
-    records: list[ExperimentRecord] = []
     T = stream.horizon
     n_events = len(stream.times)
-    for alpha in config.alphas:
+
+    def gaps(alpha):
         if T <= 0:
             # all events at t0: no time elapses, so both maps are identity
-            tie_gap = agg_gap = 0.0
-        else:
-            tie_gap = spectral_gap(propagate(stream, alpha).matrix)
-            agg = aggregate_weights(stream, alpha)
-            agg_gap = spectral_gap(aggregate_propagator(agg, T))
+            return 0.0, 0.0
+        tie_gap = spectral_gap(propagate(stream, alpha).matrix)
+        agg = aggregate_weights(stream, alpha)
+        return tie_gap, spectral_gap(aggregate_propagator(agg, T))
+
+    records: list[ExperimentRecord] = []
+    pairs = _map_tasks(gaps, config.alphas, _walk_work(stream) * len(config.alphas))
+    for alpha, (tie_gap, agg_gap) in zip(config.alphas, pairs):
         records.append(ExperimentRecord(
             "aggregate_compare", "tie_decay", alpha, None, T, n_events, tie_gap))
         records.append(ExperimentRecord(

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .events import EventStream
-from .tie_decay import apply_events, intervals
+from .tie_decay import apply_events, event_cells, intervals
 
 
 def _eigh_lower(B: np.ndarray, signature: str | None = None
@@ -270,12 +270,12 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
 
     # step of each event, non-decreasing since the times are sorted
     step_of = stream.times // delta_t
+    cells = event_cells(stream.sources, stream.targets, n, stream.directed)
     A_tilde = np.zeros((n, n))
     decay = math.exp(-alpha * delta_t)
     for k in range(steps):
         A_tilde = A_tilde * decay
         start, stop = np.searchsorted(step_of, (k, k + 1))
-        apply_events(A_tilde, stream.sources[start:stop], stream.targets[start:stop],
-                     stream.directed)
+        apply_events(A_tilde, cells[start:stop])
         y = y @ degroot_transition(A_tilde)
     return y

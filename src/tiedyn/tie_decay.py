@@ -32,13 +32,25 @@ def decay_to(w: np.ndarray, alpha: float, dt: float) -> None:
     w[w < _FLUSH_THRESHOLD] = 0.0
 
 
-def apply_events(w: np.ndarray, sources: np.ndarray, targets: np.ndarray,
-                 directed: bool) -> None:
-    """Add 1 in place to the weight of every event's pair (``sources[k]``,
-    ``targets[k]``); repeated pairs add up."""
-    np.add.at(w, (sources, targets), 1.0)
-    if not directed:
-        np.add.at(w, (targets, sources), 1.0)
+def event_cells(sources: np.ndarray, targets: np.ndarray, node_count: int,
+                directed: bool) -> np.ndarray:
+    """One row per event: the flat index ``i*N + j`` of its pair's weight
+    cell and, for an undirected event, also ``j*N + i``.
+
+    The rows of a run of events ``[start, stop)`` are ``cells[start:stop]``.
+    """
+    cells = sources * node_count + targets
+    if directed:
+        return cells[:, None]
+    return np.stack([cells, targets * node_count + sources], axis=1)
+
+
+def apply_events(w: np.ndarray, cells: np.ndarray) -> None:
+    """Add 1 in place to every flat cell in ``cells`` (``event_cells``
+    rows) of the C-contiguous weights ``w``; repeated cells add up."""
+    if not w.flags.c_contiguous:
+        raise ValueError("weights must be C-contiguous")
+    np.add.at(w.reshape(-1), cells, 1.0)
 
 
 def laplacian(weights: np.ndarray) -> np.ndarray:
@@ -72,6 +84,8 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
         raise ValueError(f"upto must be finite, got {upto}")
     # the one weight matrix of the walk, decayed and bumped in place
     w = np.zeros((stream.node_count, stream.node_count))
+    cells = event_cells(stream.sources, stream.targets, stream.node_count,
+                        stream.directed)
     t_prev: float | None = None
     for t_g, start, stop in groups:
         if t_g > upto or (t_prev is not None and t_g >= upto):
@@ -79,8 +93,7 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
         if t_prev is not None:
             yield t_prev, t_g - t_prev, laplacian(w)
             decay_to(w, alpha, t_g - t_prev)
-        apply_events(w, stream.sources[start:stop], stream.targets[start:stop],
-                     stream.directed)
+        apply_events(w, cells[start:stop])
         t_prev = t_g
     if t_prev is not None and upto > t_prev:
         yield t_prev, upto - t_prev, laplacian(w)

@@ -545,3 +545,45 @@ def test_cli_help_exits_zero(capsys):
         cli_main(["--help"])
     assert exc.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("in_file,flag", [
+    ("alpha=1,2", ["--alpha-grid", "1:10:3"]),
+    ("alpha-grid=1:10:3", ["--alpha", "0.5,2"]),
+    ("alpha-grid=1:10:3", ["--alpha-grid", "2:20:4"]),
+])
+def test_cli_alpha_flags_override_the_file_as_one_setting(tmp_path, in_file, flag):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"input=events.txt\n{in_file}\n")
+    assert (config_from_args(["--config", str(cfgfile), *flag])
+            == config_from_args(["--input", "events.txt", *flag]))
+
+
+def test_cli_both_alpha_flags_are_one_error(tmp_path, capsys):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    out = tmp_path / "o.csv"
+    rc = cli_main(["--input", str(inp), "--out", str(out), "--alpha", "1,2",
+                   "--alpha-grid", "1:10:3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: argument --alpha-grid: not allowed with argument --alpha\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first,second,message", [
+    ("alpha=1,2", "alpha-grid=1:10:3", "--alpha-grid: not allowed with argument --alpha"),
+    ("alpha-grid=1:10:3", "alpha=1,2", "--alpha: not allowed with argument --alpha-grid"),
+    ("alpha=1,2", "alpha-g=1:10:3", "--alpha-grid: not allowed with argument --alpha"),
+])
+def test_cli_both_alpha_lines_in_a_file_are_one_error(tmp_path, capsys, first, second,
+                                                       message):
+    inp = tmp_path / "events.txt"
+    inp.write_text(TRIANGLE)
+    out = tmp_path / "o.csv"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"input={inp}\n{first}\nout={out}\n{second}\n")
+    rc = cli_main(["--config", str(cfgfile), "--alpha", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfgfile}:4: argument {message}\n"
+    assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiedyn.events import group_event_times
-from tiedyn.tie_decay import apply_events, decay_to, intervals, laplacian
+from tiedyn.tie_decay import apply_events, decay_to, event_cells, intervals, laplacian
 
 from conftest import make_random_stream
 
@@ -58,28 +58,68 @@ def test_decay_flushes_tiny_weights():
 
 def test_apply_empty_is_noop():
     w = pair_weights(1.0)
-    apply_events(w, np.array([], dtype=int), np.array([], dtype=int), False)
+    apply_events(w, event_cells(np.array([], dtype=int), np.array([], dtype=int), 2, False))
     assert np.array_equal(w, pair_weights(1.0))
 
 
 def test_apply_undirected_bump():
     w = np.zeros((2, 2))
-    apply_events(w, np.array([0]), np.array([1]), False)
+    apply_events(w, event_cells(np.array([0]), np.array([1]), 2, False))
     assert w[0, 1] == 1.0
     assert w[1, 0] == 1.0
 
 
 def test_apply_directed_bump():
     w = np.zeros((2, 2))
-    apply_events(w, np.array([0]), np.array([1]), True)
+    apply_events(w, event_cells(np.array([0]), np.array([1]), 2, True))
     assert w[0, 1] == 1.0
     assert w[1, 0] == 0.0
 
 
 def test_apply_simultaneous_events_add():
     w = np.zeros((2, 2))
-    apply_events(w, np.array([0, 0]), np.array([1, 1]), False)
+    apply_events(w, event_cells(np.array([0, 0]), np.array([1, 1]), 2, False))
     assert w[0, 1] == 2.0
+
+
+def two_call_apply(w, sources, targets, directed):
+    """The former kernel: one np.add.at per direction on (row, column) pairs."""
+    np.add.at(w, (sources, targets), 1.0)
+    if not directed:
+        np.add.at(w, (targets, sources), 1.0)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_apply_equals_two_call_kernel_bitwise(seed, directed):
+    # repeated pairs, both orientations, on decayed (non-integer) weights
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    sources = rng.integers(0, n, 40)
+    targets = (sources + rng.integers(1, n, 40)) % n
+    sources[:5], targets[:5] = sources[5], targets[5]
+    sources[6], targets[6] = targets[5], sources[5]
+    base = rng.random((n, n)) * rng.integers(0, 2, (n, n))
+    np.fill_diagonal(base, 0.0)
+    want, got = base.copy(), base.copy()
+    two_call_apply(want, sources, targets, directed)
+    cells = event_cells(sources, targets, n, directed)
+    for start, stop in ((0, 7), (7, 7), (7, 40)):
+        apply_events(got, cells[start:stop])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_event_cells_one_row_per_event():
+    cells = event_cells(np.array([0, 2]), np.array([1, 0]), 3, False)
+    assert cells.tolist() == [[1, 3], [6, 2]]
+    assert event_cells(np.array([0, 2]), np.array([1, 0]), 3, True).tolist() == [[1], [6]]
+
+
+def test_apply_rejects_a_strided_view():
+    w = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        apply_events(w[:, ::2], np.array([[0]]))
+    assert not w.any()
 
 
 def test_laplacian_zero_state():
