@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .aggregate import aggregate_propagator, aggregate_weights
 from .events import (EventStream, exclude_low_degree_nodes, format_float,
                      group_event_times, parse_events)
-from .propagator import iter_factors, propagate
+from .propagator import IntervalFactor, iter_factors, propagate
 from .randomize import (METHODS, RandomizerSpec, member_seed, randomize)
 from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
                        magnitude_spectrum, shrinkage_ratio, spectral_gap)
@@ -40,6 +42,14 @@ SLOPE_DEAD_BAND = 1e-9
 # from 12,000 up. The margin covers tasks of unequal cost, such as one
 # slow-decay alpha beside a fast one.
 _POOL_MIN_WORK = 20_000
+
+# Time-series rows per pool task. On the timeseries input of bench/gen.py
+# (N = 64, 400 rows, alpha 1), in process on 2 vCPUs with one BLAS thread,
+# medians of 10 runs in each of 3 rounds: the serial loop took 0.42-0.61 s;
+# 1 row per task 0.57-0.60 s, 4 rows 0.46-0.54, 8 rows 0.43-0.46, 16 rows
+# 0.41-0.47, 32 and 64 rows 0.36-0.46. Larger tasks gained no more and
+# hold more snapshots of M in flight.
+_ROW_BATCH = 16
 
 CSV_HEADER = "mode,method,alpha,seed,t_n,event_count,gap,shrinkage_ratio,flags"
 SUMMARY_HEADER = "method,alpha,q1,median,q3,lo,hi,n_outliers"
@@ -179,9 +189,24 @@ def _run_task(task):
     return _task_fn(task)
 
 
-def _map_tasks(fn, tasks: list, work: int) -> list:
+def _submitted(pool, tasks: Iterable):
+    """One future per task, in task order. If iterating ``tasks`` raises,
+    the last future holds that error, so it comes after the tasks before it."""
+    from concurrent.futures import Future
+
+    try:
+        for task in tasks:
+            yield pool.submit(_run_task, task)
+    except Exception as error:
+        failed = Future()
+        failed.set_exception(error)
+        yield failed
+
+
+def _map_tasks(fn, tasks: Iterable, work: int, count: int | None = None) -> list:
     """``[fn(task) for task in tasks]``, on every CPU when that pays.
 
+    ``count`` is the number of tasks, needed when ``tasks`` has no length.
     With more than one task and CPU, at least ``_POOL_MIN_WORK`` work and
     the ``fork`` start method, the tasks run in a pool of
     ``min(CPUs, tasks)`` forked workers. ``fn`` and the stream it closes
@@ -189,12 +214,14 @@ def _map_tasks(fn, tasks: list, work: int) -> list:
     would import numpy again and pickle the stream into every worker; a
     task and its result are pickled. The pool forks its workers before it
     starts its own thread, and OpenBLAS stops its threads before a fork
-    (``pthread_atfork``). Results come back in task order, and the
-    first failed task in that order raises its own exception, as the
-    serial loop would; a worker that dies raises ``BrokenProcessPool``.
+    (``pthread_atfork``). ``tasks`` is drawn lazily, at most two tasks per
+    worker ahead of the results read. Results come back in task order,
+    and the first failure in that order raises its own exception, as the
+    serial loop would: a failed task, or ``tasks`` itself raising after
+    the tasks before it. A worker that dies raises ``BrokenProcessPool``.
     Every worker is joined before this returns or raises.
     """
-    workers = min(_cpus(), len(tasks))
+    workers = min(_cpus(), len(tasks) if count is None else count)
     if workers < 2 or work < _POOL_MIN_WORK:
         return [fn(task) for task in tasks]
     import multiprocessing
@@ -206,7 +233,13 @@ def _map_tasks(fn, tasks: list, work: int) -> list:
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                initializer=_init_worker, initargs=(fn,))
     try:
-        return list(pool.map(_run_task, tasks))
+        results, window = [], deque()
+        for future in _submitted(pool, tasks):
+            window.append(future)
+            if len(window) == 2 * workers:
+                results.append(window.popleft().result())
+        results.extend(future.result() for future in window)
+        return results
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -259,6 +292,41 @@ def run_alpha_sweep(stream: EventStream, config: ExperimentConfig
     ]
 
 
+def _series_row(M: np.ndarray, Y: IntervalFactor | None) -> tuple[float, float | None, str]:
+    """Gap, shrinkage ratio and flags of the time-series row of M(t_n),
+    from one eigenvalue solve; ``Y`` is the factor over the following
+    interval, None on the last row."""
+    spectrum = magnitude_spectrum(M)
+    gap = spectrum.gap()
+    if Y is None:
+        return gap, None, "last_event_time"
+    try:
+        spectrum.require_fiedler()
+        return gap, shrinkage_ratio(M, Y, spectrum), ""
+    except DegenerateFiedlerError:
+        return gap, None, "degenerate_fiedler"
+    except DefectiveEigenpairError:
+        return gap, None, "defective_eigenpair"
+
+
+def _batched(items: Iterable, size: int):
+    """Lists of ``size`` consecutive items, the last one shorter. If
+    ``items`` raises, the items before the error are yielded first."""
+    batch = []
+    try:
+        for item in items:
+            batch.append(item)
+            if len(batch) == size:
+                yield batch
+                batch = []
+    except Exception:
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
+
+
 def run_time_series(stream: EventStream, config: ExperimentConfig
                     ) -> list[ExperimentRecord]:
     """Gap of M(t_n) and Fiedler shrinkage at every distinct event time.
@@ -269,40 +337,38 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
     flagged; steps with a degenerate Fiedler direction or a numerically
     defective eigenvector pair are flagged rather than guessed.
 
-    Each step solves for the eigenvalues of M(t_n) once. They give the
-    gap and the Fiedler separation test, so the eigenvector solve runs
-    only on rows whose |lambda_2| is separated from |lambda_1| and
-    |lambda_3|.
+    Each row solves for the eigenvalues of M(t_n) once. They give the
+    gap, the Fiedler separation test and lambda_2, so no row runs an
+    eigenvector solve: rows whose |lambda_2| is separated from
+    |lambda_1| and |lambda_3| get their Fiedler vectors from linear
+    solves (``spectral.fiedler_left``).
+
+    This process walks the factors, alpha after alpha, and hands each
+    row's (M(t_n), Y) to ``_map_tasks`` in batches of ``_ROW_BATCH``
+    rows, so the rows' eigen-analysis runs on every CPU when that pays.
     """
     groups = group_event_times(stream)
 
-    def series(alpha):
-        records = []
-        M = np.eye(stream.node_count)
-        # one factor per group but the last, which has no following interval
-        for (t_k, start, stop), Y in zip_longest(groups, iter_factors(stream, alpha)):
-            spectrum = magnitude_spectrum(M)
-            gap = spectrum.gap()
-            flags = []
-            ratio = None
-            if Y is not None:
-                try:
-                    spectrum.require_fiedler()
-                    ratio = shrinkage_ratio(M, Y)
-                except DegenerateFiedlerError:
-                    flags.append("degenerate_fiedler")
-                except DefectiveEigenpairError:
-                    flags.append("defective_eigenpair")
-                Y.apply(M)
-            else:
-                flags.append("last_event_time")
-            records.append(ExperimentRecord(
-                "time_series", "original", alpha, None, t_k, stop - start,
-                gap, ratio, ";".join(flags)))
-        return records
+    def rows():
+        for alpha in config.alphas:
+            M = np.eye(stream.node_count)
+            # one factor per group but the last, which has no following interval
+            for _, Y in zip_longest(groups, iter_factors(stream, alpha)):
+                yield M.copy(), Y
+                if Y is not None:
+                    Y.apply(M)
 
-    per_alpha = _map_tasks(series, config.alphas, _walk_work(stream) * len(config.alphas))
-    return [r for records in per_alpha for r in records]
+    def solve(batch):
+        return [_series_row(M, Y) for M, Y in batch]
+
+    n_rows = len(groups) * len(config.alphas)
+    batches = _map_tasks(solve, _batched(rows(), _ROW_BATCH),
+                         _walk_work(stream) * len(config.alphas), -(-n_rows // _ROW_BATCH))
+    results = (row for batch in batches for row in batch)
+    return [ExperimentRecord("time_series", "original", alpha, None, t_k, stop - start,
+                             gap, ratio, flags)
+            for alpha in config.alphas
+            for (t_k, start, stop), (gap, ratio, flags) in zip(groups, results)]
 
 
 def run_aggregate_compare(stream: EventStream, config: ExperimentConfig

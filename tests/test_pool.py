@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tiedyn
@@ -15,6 +16,7 @@ import tiedyn.experiments as experiments
 from conftest import make_random_stream
 from tiedyn.events import serialize_events
 from tiedyn.experiments import ExperimentConfig, run
+from tiedyn.spectral import SpectralError
 
 SRC = str(Path(tiedyn.__file__).parents[1])
 ALPHAS = [0.1, 1.0, 10.0]
@@ -114,6 +116,95 @@ def test_pool_raises_the_first_failed_task_in_order(events, tmp_path, monkeypatc
     assert not (tmp_path / "pooled.csv").exists()
 
 
+def run_series(events, out):
+    """A time series at alpha 1: one alpha, so its only tasks are row batches."""
+    return run(ExperimentConfig(input=str(events), mode="time_series", alphas=[1.0],
+                                out=str(out)))
+
+
+def test_one_alpha_time_series_runs_rows_in_workers(events, tmp_path, pool_on, task_pids):
+    serial = run_series(events, tmp_path / "serial.csv")
+    assert task_pids() == {os.getpid()}
+    pool_on()
+    pooled = run_series(events, tmp_path / "pooled.csv")
+    # the fixture has 48 rows: three batches
+    assert len(pooled) > 2 * experiments._ROW_BATCH
+    assert len(task_pids() - {os.getpid()}) >= 1
+    assert pooled == serial
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def series_failures(monkeypatch, events, spectral_row, factor_interval):
+    """Make row ``spectral_row`` of the alpha-1 time series raise a
+    SpectralError after 0.3 s, in whichever process solves it, and the walk
+    raise an ArithmeticError when it builds factor ``factor_interval``."""
+    stream = experiments.load_stream(ExperimentConfig(input=str(events)))
+    M = np.eye(stream.node_count)
+    for _, Y in zip(range(spectral_row), experiments.iter_factors(stream, 1.0)):
+        Y.apply(M)
+    spectrum, iter_factors = experiments.magnitude_spectrum, experiments.iter_factors
+
+    def failing_spectrum(A):
+        if np.array_equal(A, M):
+            time.sleep(0.3)
+            raise SpectralError(f"row {spectral_row} failed")
+        return spectrum(A)
+
+    def failing_factors(stream, alpha, upto=None):
+        for k, Y in enumerate(iter_factors(stream, alpha, upto)):
+            if k == factor_interval:
+                raise ArithmeticError(f"factor {k} failed")
+            yield Y
+
+    monkeypatch.setattr(experiments, "magnitude_spectrum", failing_spectrum)
+    monkeypatch.setattr(experiments, "iter_factors", failing_factors)
+
+
+@pytest.mark.parametrize("spectral_row,factor_interval,expected", [
+    (6, 20, "row 6 failed"),          # the slow row error comes first in row order
+    (17, 20, "row 17 failed"),        # so it does in the batch the walk cut short
+    (30, 20, "factor 20 failed"),     # the walk fails before row 30 exists
+])
+def test_time_series_raises_the_first_error_in_row_order(
+        events, tmp_path, monkeypatch, pool_on, spectral_row, factor_interval, expected):
+    series_failures(monkeypatch, events, spectral_row, factor_interval)
+    with pytest.raises((SpectralError, ArithmeticError)) as serial:
+        run_series(events, tmp_path / "serial.csv")
+    pool_on()
+    with pytest.raises((SpectralError, ArithmeticError)) as pooled:
+        run_series(events, tmp_path / "pooled.csv")
+    assert str(pooled.value) == str(serial.value) == expected
+    assert type(pooled.value) is type(serial.value)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "pooled.csv").exists()
+
+
+def test_task_walk_stays_within_the_window(tmp_path, pool_on):
+    pool_on()
+    done = tmp_path / "done.txt"
+
+    def task(k):
+        time.sleep(0.005)
+        with open(done, "a") as fh:
+            fh.write(f"{k}\n")
+        return k
+
+    ahead = []
+
+    def tasks():
+        for k in range(40):
+            finished = len(done.read_text().split()) if done.exists() else 0
+            ahead.append(k - finished)
+            yield k
+
+    assert experiments._map_tasks(task, tasks(), 0, 40) == list(range(40))
+    # two workers, two tasks each: task k is drawn only after the result
+    # of task k - 4 was read, so at most 3 drawn tasks are unfinished
+    assert max(ahead) <= 3
+    assert multiprocessing.active_children() == []
+
+
 def test_one_cpu_starts_no_pool(events, tmp_path, monkeypatch, task_pids):
     import concurrent.futures
 
@@ -178,6 +269,37 @@ def test_killed_worker_is_one_error_line(events, tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+KILLED_ROW_WORKER = """
+import multiprocessing, os, signal, sys
+import tiedyn.experiments as experiments
+from tiedyn.experiments import ExperimentConfig, run
+
+experiments._POOL_MIN_WORK = 0
+experiments._cpus = lambda: 2
+parent, series_row = os.getpid(), experiments._series_row
+
+def killed(M, Y):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return series_row(M, Y)
+
+experiments._series_row = killed
+try:
+    run(ExperimentConfig(input=sys.argv[1], mode="time_series", alphas=[1.0],
+                         out=sys.argv[2]))
+except Exception as error:
+    print(type(error).__name__)
+print(len(multiprocessing.active_children()))
+"""
+
+
+def test_killed_row_worker_raises_broken_pool(events, tmp_path):
+    result = run_script(KILLED_ROW_WORKER, events, tmp_path / "o.csv", timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "BrokenProcessPool\n0\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 NO_POOL_IMPORTS = """
 import os, sys
 POOL = ("multiprocessing", "concurrent.futures")
@@ -193,15 +315,18 @@ import tiedyn.experiments as experiments
 from tiedyn.cli import main
 experiments._POOL_MIN_WORK = 0
 events, out = sys.argv[1], sys.argv[2]
-if main(["--input", events, "--mode", "time-series", "--alpha", "1", "--out", out]):
-    sys.exit("time series failed")
-loaded("a single-alpha time series")
+if main(["--input", events, "--mode", "alpha-sweep", "--alpha", "1", "--out", out]):
+    sys.exit("alpha sweep failed")
+loaded("a single-alpha sweep")
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     if main(["--input", events, "--mode", "ensemble", "--alpha", "0.1,1",
              "--ensemble", "2", "--out", out]):
         sys.exit("ensemble failed")
     loaded("an ensemble on one CPU")
+    if main(["--input", events, "--mode", "time-series", "--alpha", "1", "--out", out]):
+        sys.exit("time series failed")
+    loaded("a time series on one CPU")
 """
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tiedyn.propagator import interval_factor, propagate
+from tiedyn import spectral
+from tiedyn.propagator import interval_factor, iter_factors, propagate
 from tiedyn.spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
                              SpectralError, fiedler_left, magnitude_spectrum,
                              shrinkage_ratio, spectral_gap)
@@ -146,9 +147,12 @@ def test_singular_bordered_solve_is_defective(monkeypatch):
     # an exactly singular bordered system needs a multiple lambda_2, which
     # fails the separation test first, so force the solve to fail
     M = fiedler_case("symmetric", 0)
+    solve = np.linalg.solve
 
     def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
+        if len(a) == len(M) + 1:  # the bordered system only
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(DefectiveEigenpairError, match="singular"):
@@ -231,3 +235,103 @@ def test_single_factor_gap_monotone_in_alpha(seed):
     grid = np.geomspace(1e-3, 1e2, 30)
     gaps = [spectral_gap(interval_factor(L, dt, a).matrix) for a in grid]
     assert all(g2 <= g1 + 1e-9 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+# random streams of 6 to 12 nodes whose time series have separated rows
+DENSE_SEEDS = (0, 1, 4, 5, 6, 7)
+
+
+def separated_rows(seed, directed):
+    """M(t_k) of every row of a random stream's time series at alpha 1 and
+    100 whose Fiedler pair is separated."""
+    stream = make_random_stream(seed, n_max=12, max_events=60, directed=directed)
+    rows = []
+    for alpha in (1.0, 100.0):
+        M = np.eye(stream.node_count)
+        for Y in iter_factors(stream, alpha):
+            Y.apply(M)
+            try:
+                magnitude_spectrum(M).require_fiedler()
+            except DegenerateFiedlerError:
+                continue
+            rows.append(M.copy())
+    return rows
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_fiedler_left_matches_dense_left_eig(seed, directed):
+    rows = separated_rows(seed, directed)
+    assert len(rows) >= 20
+    for M in rows:
+        v2 = fiedler_left(M)
+        w, vl = scipy.linalg.eig(M, left=True, right=False)
+        k = np.argsort(np.abs(w))[-2]
+        assert abs(w[k].imag) == 0.0
+        assert np.linalg.norm(v2 @ M - w[k].real * v2) <= 1e-12 * np.linalg.norm(v2)
+        reference = vl[:, k].real / np.linalg.norm(vl[:, k].real)
+        unit = v2 / np.linalg.norm(v2)
+        assert min(np.abs(unit - reference).max(), np.abs(unit + reference).max()) < 1e-9
+
+
+# a path of three nodes, M = I - L/4: eigenvalues 1, 0.75 and 0.25, all exact
+PATH3 = np.array([[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]])
+
+
+def test_exactly_singular_shift():
+    # lambda_2 = 0.75 is exact, so M - lambda_2 I is singular in floating
+    # point too; the shift is perturbed off it
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(PATH3 - 0.75 * np.eye(3), np.ones(3))
+    v2 = fiedler_left(PATH3)
+    assert np.max(np.abs(v2 - np.array([1.0, 0.0, -1.0]) / math.sqrt(2))) < 1e-12
+
+
+def test_singular_shifted_lu_moves_the_shift(monkeypatch):
+    # rounding can zero a pivot of the perturbed shift as well (one row of
+    # the random_4 time series at alpha 1 does); the next step moves the
+    # shift again
+    M = fiedler_case("directed", 1)
+    expected = fiedler_left(M)
+    solve = np.linalg.solve
+    failed = []
+
+    def first_shift_singular(a, b):
+        if len(a) == len(M) and not failed:
+            failed.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", first_shift_singular)
+    v2 = fiedler_left(M)
+    assert len(failed) == 1
+    assert np.max(np.abs(v2 - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+# doubly stochastic, with dyadic entries: an all-ones start is the right
+# eigenvector of lambda_1 and stays so in every inverse iteration step
+ONES_TRAP = np.array([[0.5, 0.125, 0.375], [0.125, 0.75, 0.125], [0.375, 0.125, 0.5]])
+
+
+def test_doubly_stochastic_case_needs_a_generic_start(monkeypatch):
+    w, V = scipy.linalg.eigh(ONES_TRAP)
+    u2 = V[:, -2] * np.sign(V[np.argmax(np.abs(V[:, -2])), -2])
+    assert np.max(np.abs(fiedler_left(ONES_TRAP) - u2)) < 1e-12
+    monkeypatch.setattr(spectral, "_start_vector", np.ones)
+    with pytest.raises(DefectiveEigenpairError, match="inverse iteration"):
+        fiedler_left(ONES_TRAP)
+
+
+def test_fiedler_left_takes_the_given_spectrum(monkeypatch):
+    M = fiedler_case("directed", 4)
+    Y = interval_factor(random_laplacian(np.random.default_rng(0), len(M)), 1.0, 1.0)
+    spectrum = magnitude_spectrum(M)
+    v2, ratio = fiedler_left(M), shrinkage_ratio(M, Y)
+
+    def no_solve(*args):
+        raise AssertionError("eigenvalues solved again")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+    monkeypatch.setattr(np.linalg, "eig", no_solve)
+    assert np.array_equal(fiedler_left(M, spectrum), v2)
+    assert shrinkage_ratio(M, Y, spectrum) == ratio

@@ -1,5 +1,6 @@
-"""Time-series rows: one eigenvalue solve per step, eigenvectors only where
-a ratio is computed, and values equal to the public spectral functions."""
+"""Time-series rows: one eigenvalue solve per step and no eigenvector solve,
+Fiedler vectors only where a ratio is computed, and values equal to the
+public spectral functions."""
 
 import re
 from itertools import zip_longest
@@ -59,13 +60,13 @@ def row_codes(records):
 
 def count_eigenvector_solves(monkeypatch):
     """Record each fiedler_left call; shrinkage_ratio looks it up through
-    the module global, and each call is one eigenvector solve."""
+    the module global, and each call is one Fiedler-vector solve."""
     calls = []
     original = spectral.fiedler_left
 
-    def counted(M):
+    def counted(M, spectrum=None):
         calls.append(M)
-        return original(M)
+        return original(M, spectrum)
 
     monkeypatch.setattr(spectral, "fiedler_left", counted)
     return calls
@@ -125,11 +126,11 @@ def test_defective_rows_are_flagged_and_the_run_goes_on(monkeypatch):
     original = spectral.fiedler_left
     calls = []
 
-    def every_other_defective(M):
+    def every_other_defective(M, spectrum=None):
         calls.append(M)
         if len(calls) % 2:
             raise DefectiveEigenpairError("Fiedler pair is defective (v.u ~ 0)")
-        return original(M)
+        return original(M, spectrum)
 
     monkeypatch.setattr(spectral, "fiedler_left", every_other_defective)
     stream = make_random_stream(0)
@@ -168,3 +169,26 @@ def test_directed_drained_node_does_not_end_the_run():
         assert np.max(np.abs(v2 @ M - lam2 * v2)) < 1e-12 * np.linalg.norm(v2)
         separated += 1
     assert separated >= 5
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_one_eigenvalue_solve_per_row_and_no_eig(monkeypatch, directed):
+    counts = {"eigvals": 0, "eig": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def solve(M):
+            counts[name] += 1
+            return original(M)
+        return solve
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    alphas = [0.01, 1.0, 100.0]
+    codes = ""
+    for seed in (0, 1, 4, 5):
+        stream = make_random_stream(seed, n_max=12, max_events=60, directed=directed)
+        codes += row_codes(run_time_series(stream, ExperimentConfig(alphas=alphas)))
+    assert codes.count("r") >= 100
+    assert counts == {"eigvals": len(codes), "eig": 0}
