@@ -14,7 +14,6 @@ configurations yield byte-identical CSV.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +26,8 @@ import numpy as np
 from .aggregate import aggregate_propagator, aggregate_weights
 from .events import (EventStream, exclude_low_degree_nodes, format_float,
                      group_event_times, parse_events)
-from .propagator import IntervalFactor, iter_factors, propagate
+from . import propagator
+from .propagator import IntervalFactor, _cpus, iter_factors, propagate
 from .randomize import (METHODS, RandomizerSpec, member_seed, randomize)
 from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
                        magnitude_spectrum, shrinkage_ratio, spectral_gap)
@@ -172,17 +172,13 @@ def _walk_work(stream: EventStream) -> int:
     return int(np.count_nonzero(np.diff(stream.times))) * stream.node_count
 
 
-def _cpus() -> int:
-    """CPUs this process may run on (its affinity mask, as ``taskset`` sets)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 _task_fn = None  # set in each pool worker only, by _init_worker
 
 
 def _init_worker(fn) -> None:
     global _task_fn
     _task_fn = fn
+    propagator._in_pool_worker = True  # the pool uses the CPUs already
 
 
 def _run_task(task):

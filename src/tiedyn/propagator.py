@@ -12,6 +12,8 @@ integrator used only to verify the matrix-exponential path.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -44,6 +46,39 @@ _NEG_TOL = 1e-12
 # Ties with |c|*w below this are dropped: they move no entry of the factor
 # by more than rounding does.
 _DEAD_TIE = np.finfo(float).eps
+
+# propagate starts its factor helper only for at least this much factor work:
+# interval steps times N^3 (_factor_work), an upper bound, as a live block
+# can have fewer than N nodes. Starting the helper costs about 8 ms. On
+# 2 vCPUs with one BLAS thread, in process, medians of 7 alternating runs
+# on bench/gen.py streams of N = 16-242 at alphas 0.01, 1 and 100: below
+# 1e7 every run was slower (1.2-2.5x, N = 16-64); near 3e7 the helper broke
+# even where blocks were dense (0.88-0.97x at alpha 0.01) and lost up to
+# 9 ms where they were small (alpha 100); from 5e7 up, dense walks ran
+# 0.6-0.8x as long and sparse ones lost at most 9 ms (N = 113, 39 steps:
+# 12 -> 21 ms), with N = 92 at 399 steps 0.68-0.91x at every alpha.
+_HELPER_MIN_WORK = 50_000_000
+
+# The helper sends its factors in batches of up to _BATCH_FACTORS, which end
+# early once their blocks hold _BATCH_ENTRIES numbers (64 KB), so a large
+# block goes alone. Passing a small block costs more than building it: on
+# a bench/gen.py stream of N = 92 and 399 steps at alphas 1 and 100 (live
+# blocks of a few nodes), the walk took 1.07x and 1.13x its serial time
+# with one factor per message, and 0.89x and 0.91x in batches.
+_BATCH_FACTORS = 8
+_BATCH_ENTRIES = 1 << 13
+
+# Batches the reader thread may hold ahead of the walk. A batch is at most
+# 64 KB plus one block of N x N doubles (450 KB at N = 238), so this caps
+# the memory the helper adds.
+_HELPER_QUEUE = 4
+
+_in_pool_worker = False  # set in the pool workers of experiments._map_tasks
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity mask, as ``taskset`` sets)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 @dataclass(frozen=True)
@@ -178,12 +213,159 @@ def iter_factors(stream: EventStream, alpha: float,
         yield interval_factor(L, dt, alpha)
 
 
+def _factor_work(stream: EventStream) -> int:
+    """The factor work of one walk, in the unit of ``_HELPER_MIN_WORK``."""
+    return int(np.count_nonzero(np.diff(stream.times))) * stream.node_count ** 3
+
+
+def _this_cpu() -> int | None:
+    """The CPU this thread runs on, where Linux reports it."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _move_off(cpu: int | None) -> None:
+    """Move this process to another CPU than ``cpu``, then allow every CPU
+    of its affinity mask again. The helper runs only where ``_cpus`` read
+    two or more CPUs from ``os.sched_getaffinity``."""
+    allowed = os.sched_getaffinity(0)
+    if cpu in allowed and len(allowed) > 1:
+        with suppress(OSError):
+            os.sched_setaffinity(0, allowed - {cpu})
+            os.sched_setaffinity(0, allowed)
+
+
+def _send_factors(send, parent_cpu: int | None, stream: EventStream,
+                  alpha: float, upto: float | None) -> None:
+    """The helper's walk: send the ``(idx, block)`` of every odd interval's
+    factor in order, in lists of up to ``_BATCH_FACTORS`` that end early
+    once their blocks hold ``_BATCH_ENTRIES`` numbers, then the error that
+    stopped the walk, if one did.
+
+    A forked process starts on its parent's CPU, and Linux can leave it
+    there beside the busy parent for most of a second, so the helper
+    moves off that CPU first.
+    """
+    batch, entries = [], 0
+    try:
+        _move_off(parent_cpu)
+        for k, (_, dt, L) in enumerate(intervals(stream, alpha, upto)):
+            if k % 2:
+                fac = interval_factor(L, dt, alpha)
+                batch.append((fac.idx, fac.block))
+                entries += fac.block.size
+                if len(batch) == _BATCH_FACTORS or entries >= _BATCH_ENTRIES:
+                    send.send(batch)
+                    batch, entries = [], 0
+        send.send(batch)
+    except Exception as error:  # the parent raises it in interval order
+        with suppress(Exception):
+            send.send(batch)
+            send.send(error)
+
+
+def _read_factors(receive, ahead) -> None:
+    """Move the helper's messages from the pipe to the bounded queue
+    ``ahead``, then None once the helper has closed the pipe, or the error
+    that stopped the reading."""
+    try:
+        while True:
+            ahead.put(receive.recv())
+    except EOFError:
+        ahead.put(None)
+    except Exception as error:
+        ahead.put(error)
+
+
+def _factors_ahead(stream: EventStream, alpha: float,
+                   upto: float | None) -> Iterator[IntervalFactor]:
+    """``iter_factors``, with the odd intervals' factors built by a forked
+    helper process while this one builds the even ones.
+
+    Both processes walk the same timeline. The helper sends its blocks
+    through a pipe, and a reader thread here moves them to a queue of
+    ``_HELPER_QUEUE`` batches: a message larger than the pipe's buffer
+    would otherwise hold the helper until this process reads it. Each
+    received block is checked again as an ``IntervalFactor``. Factors come
+    out in interval order, and so do their errors, the helper's too. A
+    helper that dies raises ``RuntimeError``. The helper is killed and
+    joined, and the thread joined, before this generator returns, raises
+    or is closed.
+    """
+    import multiprocessing
+    import queue
+    import threading
+
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    helper = context.Process(target=_send_factors,
+                             args=(send, _this_cpu(), stream, alpha, upto),
+                             name="tiedyn-factor-helper", daemon=True)
+    try:
+        helper.start()
+    finally:
+        send.close()
+    # the thread starts after the fork, so the helper has none
+    ahead = queue.Queue(_HELPER_QUEUE)
+    reader = threading.Thread(target=_read_factors, args=(receive, ahead), daemon=True)
+    reader.start()
+
+    def received():
+        while True:
+            message = ahead.get()
+            if message is None:
+                helper.join()
+                raise RuntimeError(
+                    f"factor helper process died (exit code {helper.exitcode})")
+            if isinstance(message, BaseException):
+                raise message
+            yield from message
+
+    odd = received()
+    try:
+        for k, (_, dt, L) in enumerate(intervals(stream, alpha, upto)):
+            if k % 2 == 0:
+                yield interval_factor(L, dt, alpha)
+            else:
+                yield IntervalFactor(*next(odd), stream.node_count)
+    finally:
+        helper.kill()
+        helper.join()
+        while reader.is_alive():  # a full queue can hold its last put
+            with suppress(queue.Empty):
+                ahead.get_nowait()
+            reader.join(0.01)
+        receive.close()
+
+
+def _helper_pays(stream: EventStream) -> bool:
+    """Whether ``propagate`` hands half of its factors to a helper: a CPU
+    to spare outside any pool worker, and at least ``_HELPER_MIN_WORK``."""
+    if _in_pool_worker or _cpus() < 2 or _factor_work(stream) < _HELPER_MIN_WORK:
+        return False
+    import multiprocessing
+
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
 def propagate(stream: EventStream, alpha: float,
               upto: float | None = None) -> Propagator:
-    """Accumulate M(upto) as the time-ordered product of interval factors."""
+    """Accumulate M(upto) as the time-ordered product of interval factors.
+
+    With a CPU to spare and enough work (``_helper_pays``), a forked
+    helper builds every other factor (``_factors_ahead``). The products
+    stay here, in interval order, so M is bit-identical either way.
+    """
     M = np.eye(stream.node_count)
-    for fac in iter_factors(stream, alpha, upto):
-        fac.apply(M)
+    factors = (_factors_ahead if _helper_pays(stream) else iter_factors)(
+        stream, alpha, upto)
+    with closing(factors):
+        for fac in factors:
+            fac.apply(M)
     return Propagator(M)
 
 

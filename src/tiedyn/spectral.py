@@ -135,7 +135,8 @@ def fiedler_left(M: np.ndarray, spectrum: MagnitudeSpectrum | None = None
                  ) -> np.ndarray:
     """Left eigenvector v2 of the second-largest-magnitude eigenvalue,
     scaled so that v2 @ u2 = 1 for the unit right eigenvector u2 whose
-    largest-magnitude component is real and positive.
+    largest-magnitude component is real and positive. Where components tie
+    in magnitude (to a relative 1e-12), the first of them is positive.
 
     lambda_2 comes from the eigenvalues of ``spectrum``, M's
     ``magnitude_spectrum`` (solved here when not given), and u2 from
@@ -159,7 +160,8 @@ def fiedler_left(M: np.ndarray, spectrum: MagnitudeSpectrum | None = None
     w = spectrum.eigenvalues
     lam = float(w[np.argsort(np.abs(w))[-2]].real)
     u = _right_vector(M, lam)
-    u *= np.sign(u[np.argmax(np.abs(u))])
+    size = np.abs(u)
+    u *= np.sign(u[np.argmax(size >= (1 - 1e-12) * size.max())])
     n = len(u)
     K = np.zeros((n + 1, n + 1))
     K[:n, :n] = M.T

@@ -287,6 +287,15 @@ def test_exactly_singular_shift():
     assert np.max(np.abs(v2 - np.array([1.0, 0.0, -1.0]) / math.sqrt(2))) < 1e-12
 
 
+def test_fiedler_sign_tie_goes_to_the_first_component(monkeypatch):
+    # u2 = (1, 0, -1)/sqrt(2): its end components tie in magnitude, and
+    # rounding alone picked the larger one, so the start decided the sign
+    v2 = fiedler_left(PATH3)
+    monkeypatch.setattr(spectral, "_start_vector", np.ones)
+    assert np.max(np.abs(fiedler_left(PATH3) - v2)) < 1e-12
+    assert v2[0] > 0
+
+
 def test_singular_shifted_lu_moves_the_shift(monkeypatch):
     # rounding can zero a pivot of the perturbed shift as well (one row of
     # the random_4 time series at alpha 1 does); the next step moves the
