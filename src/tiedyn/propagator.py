@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from contextlib import closing, suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,31 +48,22 @@ _NEG_TOL = 1e-12
 # by more than rounding does.
 _DEAD_TIE = np.finfo(float).eps
 
-# propagate starts its factor helper only for at least this much factor work:
-# interval steps times N^3 (_factor_work), an upper bound, as a live block
-# can have fewer than N nodes. Starting the helper costs about 8 ms. On
-# 2 vCPUs with one BLAS thread, in process, medians of 7 alternating runs
-# on bench/gen.py streams of N = 16-242 at alphas 0.01, 1 and 100: below
-# 1e7 every run was slower (1.2-2.5x, N = 16-64); near 3e7 the helper broke
-# even where blocks were dense (0.88-0.97x at alpha 0.01) and lost up to
-# 9 ms where they were small (alpha 100); from 5e7 up, dense walks ran
-# 0.6-0.8x as long and sparse ones lost at most 9 ms (N = 113, 39 steps:
-# 12 -> 21 ms), with N = 92 at 399 steps 0.68-0.91x at every alpha.
-_HELPER_MIN_WORK = 50_000_000
+# Live blocks of at least this many nodes alternate between propagate's
+# main thread and its factor thread; smaller ones stay on the main thread.
+# The thread's syevd and GEMMs release the GIL, but a small block spends
+# most of its time in numpy calls that hold it. On 2 vCPUs with one BLAS
+# thread, in process, 11 alternating runs of bench/gen.py streams of 399
+# steps at alpha 0.01, with every block on the thread's turn sent to it:
+# median walk 0.070 -> 0.108 s with live blocks of 32 nodes (slower in all
+# 11), 0.110 -> 0.103 s at 40 (faster in 6) and 0.148 -> 0.136 s at 48
+# (faster in 8). At 238 nodes (bench/run.py's aggregate-large input) it
+# took 0.74x the serial time, median of 7.
+_THREAD_MIN_LIVE = 48
 
-# The helper sends its factors in batches of up to _BATCH_FACTORS, which end
-# early once their blocks hold _BATCH_ENTRIES numbers (64 KB), so a large
-# block goes alone. Passing a small block costs more than building it: on
-# a bench/gen.py stream of N = 92 and 399 steps at alphas 1 and 100 (live
-# blocks of a few nodes), the walk took 1.07x and 1.13x its serial time
-# with one factor per message, and 0.89x and 0.91x in batches.
-_BATCH_FACTORS = 8
-_BATCH_ENTRIES = 1 << 13
-
-# Batches the reader thread may hold ahead of the walk. A batch is at most
-# 64 KB plus one block of N x N doubles (450 KB at N = 238), so this caps
-# the memory the helper adds.
-_HELPER_QUEUE = 4
+# Factors, built or still on the thread, that the walk may hold ahead of the
+# product; it bounds the blocks held at once. A window of 8 was no faster
+# on the aggregate-large input (0.418 against 0.406 s, medians of 10).
+_AHEAD = 4
 
 _in_pool_worker = False  # set in the pool workers of experiments._map_tasks
 
@@ -164,13 +156,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return Z @ Z.T
 
 
-def _live_factor(L: np.ndarray, c: float) -> IntervalFactor:
-    """exp(c * L^T) for c <= 0, on one block of the live nodes.
+def _live_block(L: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The live nodes ``idx`` of c * L^T (c <= 0) and the generator on them.
 
-    Ties with |c|*|L_ij| below double-precision epsilon are dropped, and
-    the factor is the identity on nodes without a live tie. All live
-    nodes form one block, so rounding of about eps * ||c L|| from a heavy
-    tie can reach every live entry, as it does in a dense ``expm``.
+    Ties with |c|*|L_ij| below double-precision epsilon are dropped, and a
+    node without a live tie is not live.
     """
     if not np.all(np.isfinite(L)):
         raise ValueError("nonfinite Laplacian")
@@ -182,9 +172,25 @@ def _live_factor(L: np.ndarray, c: float) -> IntervalFactor:
     A.flat[::n + 1] = -A.sum(axis=0)
     if len(idx) < n:
         A = A[np.ix_(idx, idx)]
+    return idx, A
+
+
+def _block_factor(idx: np.ndarray, A: np.ndarray, node_count: int) -> IntervalFactor:
+    """The factor that is exp(A) on the live nodes ``idx`` (``_live_block``)
+    and the identity elsewhere."""
     Y = _expm(A) if len(idx) else A  # no live tie: the empty block
     np.maximum(Y, 0.0, out=Y)
-    return IntervalFactor(idx, Y, n)
+    return IntervalFactor(idx, Y, node_count)
+
+
+def _live_factor(L: np.ndarray, c: float) -> IntervalFactor:
+    """exp(c * L^T) for c <= 0, on one block of the live nodes.
+
+    The factor is the identity on nodes without a live tie. All live
+    nodes form one block, so rounding of about eps * ||c L|| from a heavy
+    tie can reach every live entry, as it does in a dense ``expm``.
+    """
+    return _block_factor(*_live_block(L, c), L.shape[0])
 
 
 def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFactor:
@@ -213,11 +219,6 @@ def iter_factors(stream: EventStream, alpha: float,
         yield interval_factor(L, dt, alpha)
 
 
-def _factor_work(stream: EventStream) -> int:
-    """The factor work of one walk, in the unit of ``_HELPER_MIN_WORK``."""
-    return int(np.count_nonzero(np.diff(stream.times))) * stream.node_count ** 3
-
-
 def _this_cpu() -> int | None:
     """The CPU this thread runs on, where Linux reports it."""
     try:
@@ -228,9 +229,10 @@ def _this_cpu() -> int | None:
 
 
 def _move_off(cpu: int | None) -> None:
-    """Move this process to another CPU than ``cpu``, then allow every CPU
-    of its affinity mask again. The helper runs only where ``_cpus`` read
-    two or more CPUs from ``os.sched_getaffinity``."""
+    """Move this thread to another CPU than ``cpu``, then allow every CPU
+    of its affinity mask again. Linux can leave a new thread, like a forked
+    process, on its parent's CPU beside the busy parent for most of a
+    second."""
     allowed = os.sched_getaffinity(0)
     if cpu in allowed and len(allowed) > 1:
         with suppress(OSError):
@@ -238,131 +240,65 @@ def _move_off(cpu: int | None) -> None:
             os.sched_setaffinity(0, allowed)
 
 
-def _send_factors(send, parent_cpu: int | None, stream: EventStream,
-                  alpha: float, upto: float | None) -> None:
-    """The helper's walk: send the ``(idx, block)`` of every odd interval's
-    factor in order, in lists of up to ``_BATCH_FACTORS`` that end early
-    once their blocks hold ``_BATCH_ENTRIES`` numbers, then the error that
-    stopped the walk, if one did.
-
-    A forked process starts on its parent's CPU, and Linux can leave it
-    there beside the busy parent for most of a second, so the helper
-    moves off that CPU first.
-    """
-    batch, entries = [], 0
-    try:
-        _move_off(parent_cpu)
-        for k, (_, dt, L) in enumerate(intervals(stream, alpha, upto)):
-            if k % 2:
-                fac = interval_factor(L, dt, alpha)
-                batch.append((fac.idx, fac.block))
-                entries += fac.block.size
-                if len(batch) == _BATCH_FACTORS or entries >= _BATCH_ENTRIES:
-                    send.send(batch)
-                    batch, entries = [], 0
-        send.send(batch)
-    except Exception as error:  # the parent raises it in interval order
-        with suppress(Exception):
-            send.send(batch)
-            send.send(error)
-
-
-def _read_factors(receive, ahead) -> None:
-    """Move the helper's messages from the pipe to the bounded queue
-    ``ahead``, then None once the helper has closed the pipe, or the error
-    that stopped the reading."""
-    try:
-        while True:
-            ahead.put(receive.recv())
-    except EOFError:
-        ahead.put(None)
-    except Exception as error:
-        ahead.put(error)
+def _settled(item) -> IntervalFactor:
+    """An entry of ``_factors_ahead``'s window as a factor: built, awaited
+    from the thread, or the error that stopped the walk, raised."""
+    if isinstance(item, Exception):
+        raise item
+    return item if isinstance(item, IntervalFactor) else item.result()
 
 
 def _factors_ahead(stream: EventStream, alpha: float,
                    upto: float | None) -> Iterator[IntervalFactor]:
-    """``iter_factors``, with the odd intervals' factors built by a forked
-    helper process while this one builds the even ones.
+    """``iter_factors``, with every other large factor built on a thread.
 
-    Both processes walk the same timeline. The helper sends its blocks
-    through a pipe, and a reader thread here moves them to a queue of
-    ``_HELPER_QUEUE`` batches: a message larger than the pipe's buffer
-    would otherwise hold the helper until this process reads it. Each
-    received block is checked again as an ``IntervalFactor``. Factors come
-    out in interval order, and so do their errors, the helper's too. A
-    helper that dies raises ``RuntimeError``. The helper is killed and
-    joined, and the thread joined, before this generator returns, raises
-    or is closed.
+    This thread walks the timeline and masks each interval's live block
+    (``_live_block``). Blocks of at least ``_THREAD_MIN_LIVE`` nodes
+    alternate between this thread and the factor thread, starting here;
+    smaller ones are built here. The thread starts with its first block
+    and moves off this thread's CPU once. Factors come out in interval order, at most
+    ``_AHEAD`` intervals behind the walk, and so do their errors, the
+    thread's too. The thread is joined before this generator returns,
+    raises or is closed.
     """
-    import multiprocessing
-    import queue
-    import threading
-
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    helper = context.Process(target=_send_factors,
-                             args=(send, _this_cpu(), stream, alpha, upto),
-                             name="tiedyn-factor-helper", daemon=True)
+    n = stream.node_count
+    ahead = deque()  # factors, the thread's futures and an error, in order
+    thread, turn = None, True
     try:
-        helper.start()
+        for _, dt, L in intervals(stream, alpha, upto):
+            try:  # c as in interval_factor
+                idx, A = _live_block(L, math.expm1(-alpha * dt) / alpha)
+                if len(idx) >= _THREAD_MIN_LIVE and (turn := not turn):
+                    if thread is None:
+                        from concurrent.futures import ThreadPoolExecutor
+                        thread = ThreadPoolExecutor(1, "tiedyn-factor", _move_off,
+                                                    (_this_cpu(),))
+                    ahead.append(thread.submit(_block_factor, idx, A, n))
+                else:
+                    ahead.append(_block_factor(idx, A, n))
+            except Exception as error:  # raised after the factors before it
+                ahead.append(error)
+                break
+            while len(ahead) > _AHEAD:
+                yield _settled(ahead.popleft())
+        while ahead:
+            yield _settled(ahead.popleft())
     finally:
-        send.close()
-    # the thread starts after the fork, so the helper has none
-    ahead = queue.Queue(_HELPER_QUEUE)
-    reader = threading.Thread(target=_read_factors, args=(receive, ahead), daemon=True)
-    reader.start()
-
-    def received():
-        while True:
-            message = ahead.get()
-            if message is None:
-                helper.join()
-                raise RuntimeError(
-                    f"factor helper process died (exit code {helper.exitcode})")
-            if isinstance(message, BaseException):
-                raise message
-            yield from message
-
-    odd = received()
-    try:
-        for k, (_, dt, L) in enumerate(intervals(stream, alpha, upto)):
-            if k % 2 == 0:
-                yield interval_factor(L, dt, alpha)
-            else:
-                yield IntervalFactor(*next(odd), stream.node_count)
-    finally:
-        helper.kill()
-        helper.join()
-        while reader.is_alive():  # a full queue can hold its last put
-            with suppress(queue.Empty):
-                ahead.get_nowait()
-            reader.join(0.01)
-        receive.close()
-
-
-def _helper_pays(stream: EventStream) -> bool:
-    """Whether ``propagate`` hands half of its factors to a helper: a CPU
-    to spare outside any pool worker, and at least ``_HELPER_MIN_WORK``."""
-    if _in_pool_worker or _cpus() < 2 or _factor_work(stream) < _HELPER_MIN_WORK:
-        return False
-    import multiprocessing
-
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon)
+        if thread is not None:
+            thread.shutdown(cancel_futures=True)
 
 
 def propagate(stream: EventStream, alpha: float,
               upto: float | None = None) -> Propagator:
     """Accumulate M(upto) as the time-ordered product of interval factors.
 
-    With a CPU to spare and enough work (``_helper_pays``), a forked
-    helper builds every other factor (``_factors_ahead``). The products
-    stay here, in interval order, so M is bit-identical either way.
+    With a CPU to spare outside the pool's workers, a thread builds every
+    other large factor (``_factors_ahead``). The products stay on this
+    thread, in interval order, so M is bit-identical either way.
     """
     M = np.eye(stream.node_count)
-    factors = (_factors_ahead if _helper_pays(stream) else iter_factors)(
-        stream, alpha, upto)
+    spare = not _in_pool_worker and _cpus() > 1
+    factors = (_factors_ahead if spare else iter_factors)(stream, alpha, upto)
     with closing(factors):
         for fac in factors:
             fac.apply(M)

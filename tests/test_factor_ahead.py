@@ -1,12 +1,15 @@
-"""The factor helper of tiedyn.propagator.propagate: the serial loop's M,
-bit for bit, and its errors in interval order, with no process left behind."""
+"""The factor thread of tiedyn.propagator.propagate: the serial loop's M,
+bit for bit, and its errors in interval order, with no thread left behind."""
 
-import multiprocessing
+import json
+import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,31 +24,45 @@ from tiedyn.propagator import iter_factors, propagate
 from tiedyn.tie_decay import intervals
 
 SRC = str(Path(tiedyn.__file__).parents[1])
-HELPER_MIN_WORK = propagator._HELPER_MIN_WORK
+BENCH = str(Path(__file__).parents[1] / "bench")
 ALPHAS = [0.01, 1.0, 100.0]
 # (seed, n_max, max_events, directed): undirected streams of 101 and 9
 # intervals, and a directed one of 88
 STREAMS = [(4, 12, 120, False), (0, 5, 14, False), (5, 12, 120, True)]
 
-pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="the helper needs the fork start method")
+
+def on_thread():
+    return threading.current_thread() is not threading.main_thread()
 
 
 @pytest.fixture
 def helper_on(monkeypatch):
-    """Start the helper in every propagate of this process, and record the
-    walks it served."""
-    served = []
-    ahead = propagator._factors_ahead
+    """Send every other block of every propagate in this process to the
+    factor thread, whatever its size, and record the walks it served and
+    the live-block sizes built on each side, as (on the thread, size)."""
+    served, built = [], []
+    ahead, build = propagator._factors_ahead, propagator._block_factor
 
     def recorded(stream, alpha, upto):
         served.append(alpha)
         return ahead(stream, alpha, upto)
 
-    monkeypatch.setattr(propagator, "_HELPER_MIN_WORK", 0)
+    def recorded_build(idx, A, n):
+        built.append((on_thread(), len(idx)))
+        return build(idx, A, n)
+
+    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 0)
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
     monkeypatch.setattr(propagator, "_factors_ahead", recorded)
-    return served
+    monkeypatch.setattr(propagator, "_block_factor", recorded_build)
+    return SimpleNamespace(served=served, built=built)
+
+
+@pytest.fixture
+def no_thread_left():
+    baseline = threading.active_count()
+    yield
+    assert threading.active_count() == baseline
 
 
 def serial_product(stream, alpha, upto=None):
@@ -67,91 +84,132 @@ def upto_points(stream):
     return [None, float(times[mid]), float((times[mid] + times[mid + 1]) / 2)]
 
 
-@pytest.mark.parametrize("batch", [(8, 1 << 13), (1, 1), (3, 20)])
+def live_blocks(stream, alpha):
+    """Every interval's ``(idx, A)`` from ``_live_block``, in interval order."""
+    return [propagator._live_block(L, math.expm1(-alpha * dt) / alpha)
+            for _, dt, L in intervals(stream, alpha)]
+
+
+def interval_of(blocks, idx, A):
+    return next(k for k, (idx_k, A_k) in enumerate(blocks)
+                if np.array_equal(idx, idx_k) and np.array_equal(A, A_k))
+
+
+@pytest.mark.parametrize("min_live", [0, 3, 6])
 @pytest.mark.parametrize("case", STREAMS)
-def test_helper_gives_the_serial_product(helper_on, monkeypatch, case, batch):
-    monkeypatch.setattr(propagator, "_BATCH_FACTORS", batch[0])
-    monkeypatch.setattr(propagator, "_BATCH_ENTRIES", batch[1])
+def test_helper_gives_the_serial_product(helper_on, monkeypatch, no_thread_left,
+                                         case, min_live):
+    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", min_live)
     stream = stream_of(case)
     for alpha in ALPHAS:
         for upto in upto_points(stream):
             M = propagate(stream, alpha, upto).matrix
             assert np.array_equal(M, serial_product(stream, alpha, upto))
-    assert len(helper_on) == len(ALPHAS) * 3
-    assert multiprocessing.active_children() == []
+    assert len(helper_on.served) == len(ALPHAS) * 3
+    if not min_live:
+        assert any(thread for thread, _ in helper_on.built)
 
 
-def test_helper_with_a_one_block_queue(helper_on, monkeypatch):
-    # the reader thread waits on a full queue most of the walk
-    monkeypatch.setattr(propagator, "_HELPER_QUEUE", 1)
-    monkeypatch.setattr(propagator, "_BATCH_FACTORS", 1)
+def test_helper_with_a_short_switch_interval(helper_on, no_thread_left):
+    # the threads hand the GIL over after every few bytecodes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for case in (STREAMS[0], STREAMS[2]):
+            stream = stream_of(case)
+            M = propagate(stream, 0.01).matrix
+            assert np.array_equal(M, serial_product(stream, 0.01))
+    finally:
+        sys.setswitchinterval(interval)
+    assert any(thread for thread, _ in helper_on.built)
+
+
+def test_large_blocks_alternate_and_small_ones_stay(helper_on, monkeypatch,
+                                                    no_thread_left):
+    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 6)
+    stream = stream_of(STREAMS[0])
+    blocks, built, build = live_blocks(stream, 1.0), {}, propagator._block_factor
+
+    def recorded(idx, A, n):
+        built[interval_of(blocks, idx, A)] = on_thread()
+        return build(idx, A, n)
+
+    monkeypatch.setattr(propagator, "_block_factor", recorded)
+    propagate(stream, 1.0)
+    assert sorted(built) == list(range(len(blocks)))
+    large = [built[k] for k, (idx, _) in enumerate(blocks) if len(idx) >= 6]
+    assert large == [k % 2 == 1 for k in range(len(large))]
+    assert 2 < len(large) < len(blocks)
+    assert not any(built[k] for k, (idx, _) in enumerate(blocks) if len(idx) < 6)
+
+
+def test_helper_with_a_one_factor_window(helper_on, monkeypatch, no_thread_left):
+    # the walk waits on the thread's factor at almost every interval
+    monkeypatch.setattr(propagator, "_AHEAD", 1)
     stream = stream_of(STREAMS[0])
     assert np.array_equal(propagate(stream, 0.01).matrix, serial_product(stream, 0.01))
-    assert multiprocessing.active_children() == []
 
 
 def failing_factors(monkeypatch, stream, alpha, failures):
-    """Make ``interval_factor`` raise ``ArithmeticError("factor k failed")``
-    on interval k of ``failures`` (after ``failures[k]`` seconds), in
-    whichever process builds it."""
-    laplacians = [L for _, _, L in intervals(stream, alpha)]
-    build = propagator.interval_factor
+    """Make ``_block_factor`` raise ``ArithmeticError("factor k failed")``
+    on interval k of ``failures`` (after ``failures[k]`` seconds), on
+    whichever thread builds it."""
+    blocks, build = live_blocks(stream, alpha), propagator._block_factor
 
-    def failing(L, dt, a):
-        k = next(k for k, L_k in enumerate(laplacians) if np.array_equal(L, L_k))
+    def failing(idx, A, n):
+        k = interval_of(blocks, idx, A)
         if k in failures:
             time.sleep(failures[k])
             raise ArithmeticError(f"factor {k} failed")
-        return build(L, dt, a)
+        return build(idx, A, n)
 
-    monkeypatch.setattr(propagator, "interval_factor", failing)
+    monkeypatch.setattr(propagator, "_block_factor", failing)
 
 
 @pytest.mark.parametrize("failures,expected", [
-    ({3: 0.0, 6: 0.0}, "factor 3 failed"),    # the helper's error comes first
-    ({4: 0.0, 7: 0.0}, "factor 4 failed"),    # this process's error comes first
-    ({4: 0.3, 5: 0.0}, "factor 4 failed"),    # the helper fails first in time
-    ({2: 0.3, 3: 0.0}, "factor 2 failed"),    # ... in a batch it cut short
-    ({9: 0.0}, "factor 9 failed"),            # past a full batch of the helper
+    ({3: 0.0, 6: 0.0}, "factor 3 failed"),    # the thread's error comes first
+    ({4: 0.0, 7: 0.0}, "factor 4 failed"),    # this thread's error comes first
+    ({4: 0.3, 5: 0.0}, "factor 4 failed"),    # the factor thread fails first in time
+    ({2: 0.3, 3: 0.0}, "factor 2 failed"),    # ... on its second block
+    ({9: 0.0}, "factor 9 failed"),            # past a full window
 ])
 def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
+                                                         no_thread_left,
                                                          failures, expected):
     stream = stream_of(STREAMS[0])
     assert len(list(intervals(stream, 1.0))) > 20
+    assert 9 > propagator._AHEAD
     failing_factors(monkeypatch, stream, 1.0, failures)
-    monkeypatch.setattr(propagator, "_BATCH_FACTORS", 2)
-    monkeypatch.setattr(propagator, "_HELPER_MIN_WORK", 10 ** 30)
+    monkeypatch.setattr(propagator, "_cpus", lambda: 1)
     with pytest.raises(ArithmeticError) as serial:
         propagate(stream, 1.0)
-    monkeypatch.setattr(propagator, "_HELPER_MIN_WORK", 0)
+    monkeypatch.setattr(propagator, "_cpus", lambda: 2)
     with pytest.raises(ArithmeticError) as ahead:
         propagate(stream, 1.0)
-    assert helper_on == [1.0]
+    assert helper_on.served == [1.0]
     assert str(ahead.value) == str(serial.value) == expected
     assert type(ahead.value) is ArithmeticError
-    assert multiprocessing.active_children() == []
 
 
-def test_helper_is_stopped_when_the_product_fails(monkeypatch, helper_on):
-    # the helper is still building its first factor when M's product fails
-    parent, build = os.getpid(), propagator.interval_factor
+def test_helper_is_stopped_when_the_product_fails(monkeypatch, helper_on, no_thread_left):
+    # the thread is still building its first factor when M's product fails
+    build, slept = propagator._block_factor, []
 
-    def slow_in_helper(L, dt, alpha):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return build(L, dt, alpha)
+    def slow_on_thread(idx, A, n):
+        if on_thread():
+            slept.append(1)
+            time.sleep(0.5)
+        return build(idx, A, n)
 
     def fails(fac, M):
         raise FloatingPointError("product failed")
 
-    monkeypatch.setattr(propagator, "interval_factor", slow_in_helper)
+    monkeypatch.setattr(propagator, "_block_factor", slow_on_thread)
     monkeypatch.setattr(propagator.IntervalFactor, "apply", fails)
-    start = time.perf_counter()
     with pytest.raises(FloatingPointError, match="product failed"):
         propagate(stream_of(STREAMS[0]), 0.01)
-    assert time.perf_counter() - start < 30
-    assert helper_on == [0.01]
-    assert multiprocessing.active_children() == []
+    assert helper_on.served == [0.01]
+    assert slept == [1]  # the queued blocks were cancelled
 
 
 def test_one_cpu_starts_no_helper(monkeypatch, helper_on):
@@ -161,21 +219,23 @@ def test_one_cpu_starts_no_helper(monkeypatch, helper_on):
     monkeypatch.setattr(propagator, "_cpus", experiments._cpus)  # the unpatched one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     propagate(stream, 1.0)
-    assert helper_on == []
-
-
-def test_no_fork_start_method_starts_no_helper(monkeypatch, helper_on):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    propagate(stream_of(STREAMS[0]), 1.0)
-    assert helper_on == []
+    assert helper_on.served == []
 
 
 def test_small_work_starts_no_helper(monkeypatch, helper_on):
-    monkeypatch.setattr(propagator, "_HELPER_MIN_WORK", HELPER_MIN_WORK)
+    # a walk whose live blocks are all below the threshold starts no thread
+    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 13)
     stream = stream_of(STREAMS[0])
-    assert propagator._factor_work(stream) < propagator._HELPER_MIN_WORK
-    propagate(stream, 1.0)
-    assert helper_on == []
+    assert stream.node_count < 13
+    threads = threading.active_count()
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    assert np.array_equal(propagate(stream, 0.01).matrix, serial_product(stream, 0.01))
+    assert helper_on.served == [0.01]
+    assert started == [] and threading.active_count() == threads
+    assert helper_on.built and not any(thread for thread, _ in helper_on.built)
 
 
 def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
@@ -197,7 +257,6 @@ def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
                              out=str(tmp_path / "o.csv")))
     assert not log.exists()
     assert not propagator._in_pool_worker
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -213,56 +272,40 @@ def test_move_off_leaves_the_cpu_and_keeps_the_mask():
 
 
 def run_script(code, *args, timeout=120):
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
-KILLED_HELPER = """
-import multiprocessing, os, signal, sys
+# The factor thread on every other block; prints the walks it served, the
+# factors it built and the threads left after the run.
+THREAD_ON = """
+import sys, threading
 import tiedyn.propagator as propagator
-from tiedyn.cli import main
 
-propagator._HELPER_MIN_WORK = 0
+propagator._THREAD_MIN_LIVE = 0
 propagator._cpus = lambda: 2
-parent, build = os.getpid(), propagator.interval_factor
+served, on_thread = [], []
+ahead, build = propagator._factors_ahead, propagator._block_factor
+propagator._factors_ahead = lambda *args: served.append(1) or ahead(*args)
 
-def killed(L, dt, alpha):
-    if os.getpid() != parent:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return build(L, dt, alpha)
+def recorded(*args):
+    on_thread.append(threading.current_thread() is not threading.main_thread())
+    return build(*args)
 
-propagator.interval_factor = killed
-code = main(["--input", sys.argv[1], "--mode", sys.argv[3], "--alpha", "0.1",
-             "--out", sys.argv[2]])
-print(len(multiprocessing.active_children()))
-sys.exit(code)
+propagator._block_factor = recorded
+
+def report():
+    print(len(served), sum(on_thread) > 0, threading.active_count())
 """
 
 
-@pytest.mark.parametrize("mode", ["alpha-sweep", "aggregate-compare"])
-def test_killed_helper_is_one_error_line(tmp_path, mode):
-    events = tmp_path / "events.txt"
-    events.write_text(serialize_events(stream_of(STREAMS[0])))
-    result = run_script(KILLED_HELPER, events, tmp_path / "o.csv", mode, timeout=60)
-    assert result.returncode == 1
-    assert result.stderr == "error: factor helper process died (exit code -9)\n"
-    assert result.stdout == "0\n"
-    assert not (tmp_path / "o.csv").exists()
-
-
-CLI_WITH_HELPER = """
-import multiprocessing, sys
-import tiedyn.propagator as propagator
+CLI_WITH_HELPER = THREAD_ON + """
 from tiedyn.cli import main
 
-propagator._HELPER_MIN_WORK = 0
-propagator._cpus = lambda: 2
-served = []
-ahead = propagator._factors_ahead
-propagator._factors_ahead = lambda *args: served.append(1) or ahead(*args)
 code = main(sys.argv[1:])
-print(len(served), len(multiprocessing.active_children()))
+report()
 sys.exit(code)
 """
 
@@ -284,7 +327,49 @@ def test_cli_with_helper_writes_the_serial_csv(tmp_path, mode):
     args = ["--input", events, "--mode", mode, "--alpha", "0.01"]
     result = run_script(CLI_WITH_HELPER, *args, "--out", tmp_path / "ahead.csv")
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "1 0"
+    assert result.stdout.splitlines()[-1] == "1 True 1"
     serial = run_script(SERIAL_CLI, *args, "--out", tmp_path / "serial.csv")
     assert serial.returncode == 0, serial.stderr
     assert (tmp_path / "ahead.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+# bench/trace.py keeps one stack of open spans per process, so a span the
+# thread opened would interleave with the main thread's.
+TRACED_WITH_HELPER = THREAD_ON + """
+import importlib.util, json
+sys.path.insert(0, sys.argv[1])
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, f"{sys.argv[1]}/{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+code = load("trace").main(sys.argv[2:])
+report()
+with open(sys.argv[2]) as fh:
+    print(json.dumps(load("run").layer_metrics(json.load(fh))))
+sys.exit(code)
+"""
+
+
+def test_traced_run_with_helper_is_sound(tmp_path):
+    events = tmp_path / "events.txt"
+    events.write_text(serialize_events(stream_of(STREAMS[0])))
+    spans_path = tmp_path / "spans.json"
+    result = run_script(TRACED_WITH_HELPER, BENCH, spans_path, "--input", events,
+                        "--mode", "aggregate-compare", "--alpha", "0.01",
+                        "--out", tmp_path / "o.csv")
+    assert result.returncode == 0, result.stderr
+    ran, metrics = result.stdout.splitlines()[-2:]
+    assert ran == "1 True 1"
+    spans = json.loads(spans_path.read_text())
+    assert any(name == "propagator.propagate" for name, *_ in spans)
+    for name, start, end, parent in spans:
+        assert start <= end, name
+        if parent >= 0:
+            _, p_start, p_end, _ = spans[parent]
+            assert p_start <= start and end <= p_end, name
+    metrics = json.loads(metrics)
+    assert metrics["propagator.propagate_s"] > 0
+    assert min(metrics.values()) >= 0, metrics

@@ -317,9 +317,10 @@ experiments._POOL_MIN_WORK = 0
 events, out = sys.argv[1], sys.argv[2]
 if main(["--input", events, "--mode", "alpha-sweep", "--alpha", "1", "--out", out]):
     sys.exit("alpha sweep failed")
-loaded("a single-alpha sweep")
-if hasattr(os, "sched_setaffinity"):
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+loaded("a single-alpha sweep with small live blocks")
+cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+if cpus:
+    os.sched_setaffinity(0, {min(cpus)})
     if main(["--input", events, "--mode", "ensemble", "--alpha", "0.1,1",
              "--ensemble", "2", "--out", out]):
         sys.exit("ensemble failed")
@@ -327,9 +328,22 @@ if hasattr(os, "sched_setaffinity"):
     if main(["--input", events, "--mode", "time-series", "--alpha", "1", "--out", out]):
         sys.exit("time series failed")
     loaded("a time series on one CPU")
+    os.sched_setaffinity(0, cpus)
+# live blocks of 64 nodes, which the factor thread shares with two CPUs
+dense = out + ".dense.txt"
+with open(dense, "w") as fh:
+    fh.writelines(f"{t} n{i} n{i + 1}\\n" for t in range(6) for i in range(63))
+if main(["--input", dense, "--mode", "aggregate-compare", "--alpha", "0.01", "--out", out]):
+    sys.exit("aggregate comparison failed")
+POOL = ("multiprocessing",)
+loaded("a dense single-alpha aggregate comparison")
+print("concurrent.futures" in sys.modules)
 """
 
 
 def test_serial_runs_never_import_the_pool(events, tmp_path):
     result = run_script(NO_POOL_IMPORTS, events, tmp_path / "o.csv")
     assert result.returncode == 0, result.stderr
+    # the dense comparison ran its factor thread where two CPUs are allowed
+    two_cpus = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+    assert result.stdout.splitlines()[-1] == str(two_cpus)
