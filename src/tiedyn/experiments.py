@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -172,13 +173,7 @@ def _walk_work(stream: EventStream) -> int:
     return int(np.count_nonzero(np.diff(stream.times))) * stream.node_count
 
 
-_task_fn = None  # set in each pool worker only, by _init_worker
-
-
-def _init_worker(fn) -> None:
-    global _task_fn
-    _task_fn = fn
-    propagator._in_pool_worker = True  # the pool uses the CPUs already
+_task_fn = None  # the running pool's fn, set before its workers fork
 
 
 def _run_task(task):
@@ -210,11 +205,13 @@ def _map_tasks(fn, tasks: Iterable, work: int, count: int | None = None) -> list
     would import numpy again and pickle the stream into every worker; a
     task and its result are pickled. The pool forks its workers before it
     starts its own thread, and OpenBLAS stops its threads before a fork
-    (``pthread_atfork``). ``tasks`` is drawn lazily, at most two tasks per
-    worker ahead of the results read. Results come back in task order,
-    and the first failure in that order raises its own exception, as the
-    serial loop would: a failed task, or ``tasks`` itself raising after
-    the tasks before it. A worker that dies raises ``BrokenProcessPool``.
+    (``pthread_atfork``). While the pool runs, ``propagator._pool_busy``
+    is set here and, through the fork, in the workers, so no walk of
+    either starts a factor thread. ``tasks`` is drawn lazily, at most two
+    tasks per worker ahead of the results read. Results come back in task
+    order, and the first failure in that order raises its own exception,
+    as the serial loop would: a failed task, or ``tasks`` itself raising
+    after the tasks before it. A worker that dies raises ``BrokenProcessPool``.
     Every worker is joined before this returns or raises.
     """
     workers = min(_cpus(), len(tasks) if count is None else count)
@@ -226,8 +223,9 @@ def _map_tasks(fn, tasks: Iterable, work: int, count: int | None = None) -> list
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(fn,))
+    global _task_fn
+    _task_fn, propagator._pool_busy = fn, True
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
         results, window = [], deque()
         for future in _submitted(pool, tasks):
@@ -238,6 +236,7 @@ def _map_tasks(fn, tasks: Iterable, work: int, count: int | None = None) -> list
         return results
     finally:
         pool.shutdown(cancel_futures=True)
+        _task_fn, propagator._pool_busy = None, False
 
 
 def run_ensemble(stream: EventStream, config: ExperimentConfig
@@ -342,6 +341,9 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
     This process walks the factors, alpha after alpha, and hands each
     row's (M(t_n), Y) to ``_map_tasks`` in batches of ``_ROW_BATCH``
     rows, so the rows' eigen-analysis runs on every CPU when that pays.
+    Without the pool, the walk may use a factor thread instead; a row
+    that raises closes the walk, which joins that thread, before the
+    error leaves.
     """
     groups = group_event_times(stream)
 
@@ -349,17 +351,20 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
         for alpha in config.alphas:
             M = np.eye(stream.node_count)
             # one factor per group but the last, which has no following interval
-            for _, Y in zip_longest(groups, iter_factors(stream, alpha)):
-                yield M.copy(), Y
-                if Y is not None:
-                    Y.apply(M)
+            with closing(iter_factors(stream, alpha)) as factors:
+                for _, Y in zip_longest(groups, factors):
+                    yield M.copy(), Y
+                    if Y is not None:
+                        Y.apply(M)
 
     def solve(batch):
         return [_series_row(M, Y) for M, Y in batch]
 
     n_rows = len(groups) * len(config.alphas)
-    batches = _map_tasks(solve, _batched(rows(), _ROW_BATCH),
-                         _walk_work(stream) * len(config.alphas), -(-n_rows // _ROW_BATCH))
+    with closing(rows()) as walk:
+        batches = _map_tasks(solve, _batched(walk, _ROW_BATCH),
+                             _walk_work(stream) * len(config.alphas),
+                             -(-n_rows // _ROW_BATCH))
     results = (row for batch in batches for row in batch)
     return [ExperimentRecord("time_series", "original", alpha, None, t_k, stop - start,
                              gap, ratio, flags)

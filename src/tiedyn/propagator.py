@@ -48,10 +48,11 @@ _NEG_TOL = 1e-12
 # by more than rounding does.
 _DEAD_TIE = np.finfo(float).eps
 
-# Live blocks of at least this many nodes alternate between propagate's
-# main thread and its factor thread; smaller ones stay on the main thread.
-# The thread's syevd and GEMMs release the GIL, but a small block spends
-# most of its time in numpy calls that hold it. On 2 vCPUs with one BLAS
+# iter_factors sends an interval to its factor thread when it built the
+# interval before on its own thread with at least this many live nodes: while
+# live blocks stay this large, the intervals alternate between the threads.
+# The factor thread's syevd and GEMMs release the GIL, but a small block
+# spends most of its time in numpy calls that hold it. On 2 vCPUs with one BLAS
 # thread, in process, 11 alternating runs of bench/gen.py streams of 399
 # steps at alpha 0.01, with every block on the thread's turn sent to it:
 # median walk 0.070 -> 0.108 s with live blocks of 32 nodes (slower in all
@@ -65,7 +66,9 @@ _THREAD_MIN_LIVE = 48
 # on the aggregate-large input (0.418 against 0.406 s, medians of 10).
 _AHEAD = 4
 
-_in_pool_worker = False  # set in the pool workers of experiments._map_tasks
+# True while a pool of experiments._map_tasks uses the CPUs: set in its
+# parent before the workers fork, so they inherit it, and cleared after.
+_pool_busy = False
 
 
 def _cpus() -> int:
@@ -156,11 +159,13 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return Z @ Z.T
 
 
-def _live_block(L: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The live nodes ``idx`` of c * L^T (c <= 0) and the generator on them.
+def _live_factor(L: np.ndarray, c: float) -> IntervalFactor:
+    """exp(c * L^T) for c <= 0, on one block of the live nodes.
 
-    Ties with |c|*|L_ij| below double-precision epsilon are dropped, and a
-    node without a live tie is not live.
+    Ties with |c|*|L_ij| below double-precision epsilon are dropped, and
+    the factor is the identity on nodes without a live tie. All live
+    nodes form one block, so rounding of about eps * ||c L|| from a heavy
+    tie can reach every live entry, as it does in a dense ``expm``.
     """
     if not np.all(np.isfinite(L)):
         raise ValueError("nonfinite Laplacian")
@@ -172,25 +177,9 @@ def _live_block(L: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     A.flat[::n + 1] = -A.sum(axis=0)
     if len(idx) < n:
         A = A[np.ix_(idx, idx)]
-    return idx, A
-
-
-def _block_factor(idx: np.ndarray, A: np.ndarray, node_count: int) -> IntervalFactor:
-    """The factor that is exp(A) on the live nodes ``idx`` (``_live_block``)
-    and the identity elsewhere."""
     Y = _expm(A) if len(idx) else A  # no live tie: the empty block
     np.maximum(Y, 0.0, out=Y)
-    return IntervalFactor(idx, Y, node_count)
-
-
-def _live_factor(L: np.ndarray, c: float) -> IntervalFactor:
-    """exp(c * L^T) for c <= 0, on one block of the live nodes.
-
-    The factor is the identity on nodes without a live tie. All live
-    nodes form one block, so rounding of about eps * ||c L|| from a heavy
-    tie can reach every live entry, as it does in a dense ``expm``.
-    """
-    return _block_factor(*_live_block(L, c), L.shape[0])
+    return IntervalFactor(idx, Y, n)
 
 
 def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFactor:
@@ -206,17 +195,6 @@ def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFact
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     # expm1: no cancellation for small alpha * dt
     return _live_factor(L, math.expm1(-alpha * delta_t) / alpha)
-
-
-def iter_factors(stream: EventStream, alpha: float,
-                 upto: float | None = None) -> Iterator[IntervalFactor]:
-    """Yield interval factors in time order up to ``upto``.
-
-    The intervals, and the ``upto`` rule, are those of
-    ``tie_decay.intervals``.
-    """
-    for _, dt, L in intervals(stream, alpha, upto):
-        yield interval_factor(L, dt, alpha)
 
 
 def _this_cpu() -> int | None:
@@ -241,41 +219,47 @@ def _move_off(cpu: int | None) -> None:
 
 
 def _settled(item) -> IntervalFactor:
-    """An entry of ``_factors_ahead``'s window as a factor: built, awaited
+    """An entry of ``iter_factors``' window as a factor: built, awaited
     from the thread, or the error that stopped the walk, raised."""
     if isinstance(item, Exception):
         raise item
     return item if isinstance(item, IntervalFactor) else item.result()
 
 
-def _factors_ahead(stream: EventStream, alpha: float,
-                   upto: float | None) -> Iterator[IntervalFactor]:
-    """``iter_factors``, with every other large factor built on a thread.
+def iter_factors(stream: EventStream, alpha: float,
+                 upto: float | None = None) -> Iterator[IntervalFactor]:
+    """Yield interval factors in time order up to ``upto``.
 
-    This thread walks the timeline and masks each interval's live block
-    (``_live_block``). Blocks of at least ``_THREAD_MIN_LIVE`` nodes
-    alternate between this thread and the factor thread, starting here;
-    smaller ones are built here. The thread starts with its first block
-    and moves off this thread's CPU once. Factors come out in interval order, at most
-    ``_AHEAD`` intervals behind the walk, and so do their errors, the
-    thread's too. The thread is joined before this generator returns,
-    raises or is closed.
+    The intervals, and the ``upto`` rule, are those of
+    ``tie_decay.intervals``. With a CPU to spare (``_cpus``, and no pool of
+    ``experiments._map_tasks`` running), an interval goes to a factor
+    thread when the interval before it was built here with at least
+    ``_THREAD_MIN_LIVE`` live nodes; this thread builds the others with
+    ``interval_factor``. The thread starts with its first interval and
+    moves off this thread's CPU once. Factors come out in interval order,
+    at most ``_AHEAD`` intervals behind the walk, and so do their errors,
+    the thread's too. The thread is joined before this generator returns,
+    raises or is closed, so a caller that may stop early closes it
+    (``contextlib.closing``).
     """
-    n = stream.node_count
+    spare = not _pool_busy and _cpus() > 1
     ahead = deque()  # factors, the thread's futures and an error, in order
-    thread, turn = None, True
+    thread = None
+    live = -1  # live nodes of the previous interval's factor, if built here
     try:
         for _, dt, L in intervals(stream, alpha, upto):
-            try:  # c as in interval_factor
-                idx, A = _live_block(L, math.expm1(-alpha * dt) / alpha)
-                if len(idx) >= _THREAD_MIN_LIVE and (turn := not turn):
+            try:
+                if spare and live >= _THREAD_MIN_LIVE:
                     if thread is None:
                         from concurrent.futures import ThreadPoolExecutor
                         thread = ThreadPoolExecutor(1, "tiedyn-factor", _move_off,
                                                     (_this_cpu(),))
-                    ahead.append(thread.submit(_block_factor, idx, A, n))
+                    c = math.expm1(-alpha * dt) / alpha  # as in interval_factor
+                    ahead.append(thread.submit(_live_factor, L, c))
+                    live = -1
                 else:
-                    ahead.append(_block_factor(idx, A, n))
+                    ahead.append(fac := interval_factor(L, dt, alpha))
+                    live = len(fac.idx)
             except Exception as error:  # raised after the factors before it
                 ahead.append(error)
                 break
@@ -290,31 +274,33 @@ def _factors_ahead(stream: EventStream, alpha: float,
 
 def propagate(stream: EventStream, alpha: float,
               upto: float | None = None) -> Propagator:
-    """Accumulate M(upto) as the time-ordered product of interval factors.
-
-    With a CPU to spare outside the pool's workers, a thread builds every
-    other large factor (``_factors_ahead``). The products stay on this
-    thread, in interval order, so M is bit-identical either way.
-    """
+    """Accumulate M(upto) as the time-ordered product of interval factors
+    (``iter_factors``). The products run on this thread, in interval
+    order, so M is bit-identical with or without the factor thread."""
     M = np.eye(stream.node_count)
-    spare = not _in_pool_worker and _cpus() > 1
-    factors = (_factors_ahead if spare else iter_factors)(stream, alpha, upto)
-    with closing(factors):
+    with closing(iter_factors(stream, alpha, upto)) as factors:
         for fac in factors:
             fac.apply(M)
     return Propagator(M)
 
 
-def evolve_opinions(x0: np.ndarray, stream: EventStream, alpha: float,
-                    upto: float | None = None) -> np.ndarray:
-    """x0 @ M(upto), applied one interval factor at a time."""
+def _opinions(x0: np.ndarray, stream: EventStream) -> np.ndarray:
+    """A float copy of ``x0``, which must hold one opinion per node."""
     x = np.array(x0, dtype=float)
     if x.shape != (stream.node_count,):
         raise ValueError(
             f"opinion vector has shape {x.shape}, stream has N={stream.node_count}"
         )
-    for fac in iter_factors(stream, alpha, upto):
-        fac.apply(x)
+    return x
+
+
+def evolve_opinions(x0: np.ndarray, stream: EventStream, alpha: float,
+                    upto: float | None = None) -> np.ndarray:
+    """x0 @ M(upto), applied one interval factor at a time."""
+    x = _opinions(x0, stream)
+    with closing(iter_factors(stream, alpha, upto)) as factors:
+        for fac in factors:
+            fac.apply(x)
     return x
 
 
@@ -328,7 +314,7 @@ def ode_oracle(x0: np.ndarray, stream: EventStream, alpha: float,
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    x = np.asarray(x0, dtype=float).copy()
+    x = _opinions(x0, stream)
 
     def deriv(s: float, x: np.ndarray, LT: np.ndarray) -> np.ndarray:
         # s is the time elapsed since the start of the interval
@@ -382,9 +368,7 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
     if steps < 0:
         raise ValueError("steps must be >= 0")
     n = stream.node_count
-    y = np.asarray(y_init, dtype=float).copy()
-    if y.shape != (n,):
-        raise ValueError("opinion vector dimension mismatch")
+    y = _opinions(y_init, stream)
 
     # step of each event, non-decreasing since the times are sorted
     step_of = stream.times // delta_t

@@ -1,8 +1,8 @@
-"""The factor thread of tiedyn.propagator.propagate: the serial loop's M,
-bit for bit, and its errors in interval order, with no thread left behind."""
+"""The factor thread of tiedyn.propagator.iter_factors: the serial loop's
+factors, bit for bit, and its errors in interval order, with no thread left
+behind, in propagate, evolve_opinions and the time series."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -20,7 +20,8 @@ import tiedyn.propagator as propagator
 from conftest import make_random_stream
 from tiedyn.events import serialize_events
 from tiedyn.experiments import ExperimentConfig, run
-from tiedyn.propagator import iter_factors, propagate
+from tiedyn.propagator import evolve_opinions, interval_factor, propagate
+from tiedyn.spectral import SpectralError
 from tiedyn.tie_decay import intervals
 
 SRC = str(Path(tiedyn.__file__).parents[1])
@@ -37,25 +38,28 @@ def on_thread():
 
 @pytest.fixture
 def helper_on(monkeypatch):
-    """Send every other block of every propagate in this process to the
-    factor thread, whatever its size, and record the walks it served and
-    the live-block sizes built on each side, as (on the thread, size)."""
+    """Send every other interval of every walk in this process to the
+    factor thread, whatever its size, and record the alphas of the walks
+    that ``propagate`` and ``evolve_opinions`` started and the live-block
+    sizes built on each side, as (on the thread, size)."""
     served, built = [], []
-    ahead, build = propagator._factors_ahead, propagator._block_factor
+    walk, build = propagator.iter_factors, propagator._live_factor
 
-    def recorded(stream, alpha, upto):
+    def recorded(stream, alpha, upto=None):
         served.append(alpha)
-        return ahead(stream, alpha, upto)
+        return walk(stream, alpha, upto)
 
-    def recorded_build(idx, A, n):
-        built.append((on_thread(), len(idx)))
-        return build(idx, A, n)
+    def recorded_build(L, c):
+        fac = build(L, c)
+        built.append((on_thread(), len(fac.idx)))
+        return fac
 
     monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 0)
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
-    monkeypatch.setattr(propagator, "_factors_ahead", recorded)
-    monkeypatch.setattr(propagator, "_block_factor", recorded_build)
-    return SimpleNamespace(served=served, built=built)
+    monkeypatch.setattr(propagator, "iter_factors", recorded)
+    monkeypatch.setattr(propagator, "_live_factor", recorded_build)
+    return SimpleNamespace(served=served, built=built,
+                           threaded=lambda: any(t for t, _ in built))
 
 
 @pytest.fixture
@@ -65,9 +69,14 @@ def no_thread_left():
     assert threading.active_count() == baseline
 
 
-def serial_product(stream, alpha, upto=None):
-    M = np.eye(stream.node_count)
-    for fac in iter_factors(stream, alpha, upto):
+def serial_factors(stream, alpha, upto=None):
+    return [interval_factor(L, dt, alpha) for _, dt, L in intervals(stream, alpha, upto)]
+
+
+def serial_product(stream, alpha, upto=None, M=None):
+    """``M`` (the identity by default) times the factors, one at a time."""
+    M = np.eye(stream.node_count) if M is None else M.copy()
+    for fac in serial_factors(stream, alpha, upto):
         fac.apply(M)
     return M
 
@@ -84,15 +93,10 @@ def upto_points(stream):
     return [None, float(times[mid]), float((times[mid] + times[mid + 1]) / 2)]
 
 
-def live_blocks(stream, alpha):
-    """Every interval's ``(idx, A)`` from ``_live_block``, in interval order."""
-    return [propagator._live_block(L, math.expm1(-alpha * dt) / alpha)
-            for _, dt, L in intervals(stream, alpha)]
-
-
-def interval_of(blocks, idx, A):
-    return next(k for k, (idx_k, A_k) in enumerate(blocks)
-                if np.array_equal(idx, idx_k) and np.array_equal(A, A_k))
+def interval_of(stream, alpha):
+    """A map from an interval's Laplacian ``L`` to its index in interval order."""
+    laplacians = [L for _, _, L in intervals(stream, alpha)]
+    return lambda L: next(k for k, L_k in enumerate(laplacians) if np.array_equal(L, L_k))
 
 
 @pytest.mark.parametrize("min_live", [0, 3, 6])
@@ -107,7 +111,7 @@ def test_helper_gives_the_serial_product(helper_on, monkeypatch, no_thread_left,
             assert np.array_equal(M, serial_product(stream, alpha, upto))
     assert len(helper_on.served) == len(ALPHAS) * 3
     if not min_live:
-        assert any(thread for thread, _ in helper_on.built)
+        assert helper_on.threaded()
 
 
 def test_helper_with_a_short_switch_interval(helper_on, no_thread_left):
@@ -121,26 +125,30 @@ def test_helper_with_a_short_switch_interval(helper_on, no_thread_left):
             assert np.array_equal(M, serial_product(stream, 0.01))
     finally:
         sys.setswitchinterval(interval)
-    assert any(thread for thread, _ in helper_on.built)
+    assert helper_on.threaded()
 
 
 def test_large_blocks_alternate_and_small_ones_stay(helper_on, monkeypatch,
                                                     no_thread_left):
+    # an interval goes to the thread when the one before it was built here
+    # with at least 6 live nodes
     monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 6)
     stream = stream_of(STREAMS[0])
-    blocks, built, build = live_blocks(stream, 1.0), {}, propagator._block_factor
+    sizes = [len(fac.idx) for fac in serial_factors(stream, 1.0)]
+    find, built, build = interval_of(stream, 1.0), {}, propagator._live_factor
 
-    def recorded(idx, A, n):
-        built[interval_of(blocks, idx, A)] = on_thread()
-        return build(idx, A, n)
+    def recorded(L, c):
+        built[find(L)] = on_thread()
+        return build(L, c)
 
-    monkeypatch.setattr(propagator, "_block_factor", recorded)
+    monkeypatch.setattr(propagator, "_live_factor", recorded)
     propagate(stream, 1.0)
-    assert sorted(built) == list(range(len(blocks)))
-    large = [built[k] for k, (idx, _) in enumerate(blocks) if len(idx) >= 6]
-    assert large == [k % 2 == 1 for k in range(len(large))]
-    assert 2 < len(large) < len(blocks)
-    assert not any(built[k] for k, (idx, _) in enumerate(blocks) if len(idx) < 6)
+    assert sorted(built) == list(range(len(sizes)))
+    expected = [k > 0 and not built[k - 1] and sizes[k - 1] >= 6
+                for k in range(len(sizes))]
+    assert [built[k] for k in range(len(sizes))] == expected
+    assert 2 < sum(expected) < len(sizes) // 2
+    assert any(size < 6 for size in sizes)
 
 
 def test_helper_with_a_one_factor_window(helper_on, monkeypatch, no_thread_left):
@@ -150,27 +158,39 @@ def test_helper_with_a_one_factor_window(helper_on, monkeypatch, no_thread_left)
     assert np.array_equal(propagate(stream, 0.01).matrix, serial_product(stream, 0.01))
 
 
+def test_evolve_opinions_with_the_thread_is_serial(helper_on, no_thread_left):
+    stream = stream_of(STREAMS[2])
+    x0 = np.linspace(-1.0, 1.0, stream.node_count)
+    for alpha in ALPHAS:
+        for upto in upto_points(stream):
+            assert np.array_equal(evolve_opinions(x0, stream, alpha, upto),
+                                  serial_product(stream, alpha, upto, x0))
+    assert helper_on.served == [a for a in ALPHAS for _ in range(3)]
+    assert helper_on.threaded()
+
+
 def failing_factors(monkeypatch, stream, alpha, failures):
-    """Make ``_block_factor`` raise ``ArithmeticError("factor k failed")``
+    """Make ``_live_factor`` raise ``ArithmeticError("factor k failed")``
     on interval k of ``failures`` (after ``failures[k]`` seconds), on
     whichever thread builds it."""
-    blocks, build = live_blocks(stream, alpha), propagator._block_factor
+    find, build = interval_of(stream, alpha), propagator._live_factor
 
-    def failing(idx, A, n):
-        k = interval_of(blocks, idx, A)
+    def failing(L, c):
+        k = find(L)
         if k in failures:
             time.sleep(failures[k])
             raise ArithmeticError(f"factor {k} failed")
-        return build(idx, A, n)
+        return build(L, c)
 
-    monkeypatch.setattr(propagator, "_block_factor", failing)
+    monkeypatch.setattr(propagator, "_live_factor", failing)
 
 
+# With the threshold at 0 the factor thread builds the odd intervals.
 @pytest.mark.parametrize("failures,expected", [
-    ({3: 0.0, 6: 0.0}, "factor 3 failed"),    # the thread's error comes first
+    ({3: 0.3, 4: 0.0}, "factor 3 failed"),    # the thread's error, though last in time
     ({4: 0.0, 7: 0.0}, "factor 4 failed"),    # this thread's error comes first
-    ({4: 0.3, 5: 0.0}, "factor 4 failed"),    # the factor thread fails first in time
-    ({2: 0.3, 3: 0.0}, "factor 2 failed"),    # ... on its second block
+    ({4: 0.3, 5: 0.0}, "factor 4 failed"),    # it stops the walk before interval 5
+    ({2: 0.3, 3: 0.0}, "factor 2 failed"),    # ... before the thread's second one
     ({9: 0.0}, "factor 9 failed"),            # past a full window
 ])
 def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
@@ -183,33 +203,34 @@ def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
     monkeypatch.setattr(propagator, "_cpus", lambda: 1)
     with pytest.raises(ArithmeticError) as serial:
         propagate(stream, 1.0)
+    assert not helper_on.threaded()
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
     with pytest.raises(ArithmeticError) as ahead:
         propagate(stream, 1.0)
-    assert helper_on.served == [1.0]
+    assert helper_on.served == [1.0, 1.0]
     assert str(ahead.value) == str(serial.value) == expected
     assert type(ahead.value) is ArithmeticError
 
 
 def test_helper_is_stopped_when_the_product_fails(monkeypatch, helper_on, no_thread_left):
     # the thread is still building its first factor when M's product fails
-    build, slept = propagator._block_factor, []
+    build, slept = propagator._live_factor, []
 
-    def slow_on_thread(idx, A, n):
+    def slow_on_thread(L, c):
         if on_thread():
             slept.append(1)
             time.sleep(0.5)
-        return build(idx, A, n)
+        return build(L, c)
 
     def fails(fac, M):
         raise FloatingPointError("product failed")
 
-    monkeypatch.setattr(propagator, "_block_factor", slow_on_thread)
+    monkeypatch.setattr(propagator, "_live_factor", slow_on_thread)
     monkeypatch.setattr(propagator.IntervalFactor, "apply", fails)
     with pytest.raises(FloatingPointError, match="product failed"):
         propagate(stream_of(STREAMS[0]), 0.01)
     assert helper_on.served == [0.01]
-    assert slept == [1]  # the queued blocks were cancelled
+    assert slept == [1]  # the queued intervals were cancelled
 
 
 def test_one_cpu_starts_no_helper(monkeypatch, helper_on):
@@ -219,7 +240,8 @@ def test_one_cpu_starts_no_helper(monkeypatch, helper_on):
     monkeypatch.setattr(propagator, "_cpus", experiments._cpus)  # the unpatched one
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     propagate(stream, 1.0)
-    assert helper_on.served == []
+    assert helper_on.served == [1.0, 1.0]
+    assert helper_on.built and not helper_on.threaded()
 
 
 def test_small_work_starts_no_helper(monkeypatch, helper_on):
@@ -235,28 +257,78 @@ def test_small_work_starts_no_helper(monkeypatch, helper_on):
     assert np.array_equal(propagate(stream, 0.01).matrix, serial_product(stream, 0.01))
     assert helper_on.served == [0.01]
     assert started == [] and threading.active_count() == threads
-    assert helper_on.built and not any(thread for thread, _ in helper_on.built)
+    assert helper_on.built and not helper_on.threaded()
 
 
 def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
+    # neither the workers' walks nor the pooled time series' walk in this
+    # process build a factor on a thread
     log = tmp_path / "helpers.txt"
-    ahead = propagator._factors_ahead
+    build = propagator._live_factor
 
-    def logged(stream, alpha, upto):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return ahead(stream, alpha, upto)
+    def logged(L, c):
+        if on_thread():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return build(L, c)
 
-    monkeypatch.setattr(propagator, "_factors_ahead", logged)
+    monkeypatch.setattr(propagator, "_live_factor", logged)
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
     events = tmp_path / "events.txt"
     events.write_text(serialize_events(stream_of(STREAMS[0])))
-    for mode in ("alpha_sweep", "ensemble"):
+    for mode in ("alpha_sweep", "ensemble", "time_series"):
         run(ExperimentConfig(input=str(events), mode=mode, alphas=ALPHAS, ensemble=2,
                              out=str(tmp_path / "o.csv")))
     assert not log.exists()
-    assert not propagator._in_pool_worker
+    assert not propagator._pool_busy and experiments._task_fn is None
+    # without the pool, the time series walks with the thread
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    run(ExperimentConfig(input=str(events), mode="time_series", alphas=[1.0],
+                         out=str(tmp_path / "o.csv")))
+    n_intervals = len(list(intervals(stream_of(STREAMS[0]), 1.0)))
+    assert log.read_text().split() == [str(os.getpid())] * (n_intervals // 2)
+
+
+def series_records(tmp_path, name):
+    events = tmp_path / "events.txt"
+    events.write_text(serialize_events(stream_of(STREAMS[0])))
+    out = tmp_path / name
+    records = run(ExperimentConfig(input=str(events), mode="time_series",
+                                   alphas=ALPHAS, out=str(out)))
+    return records, out.read_bytes()
+
+
+def test_time_series_without_the_pool_is_serial(tmp_path, monkeypatch, no_thread_left):
+    monkeypatch.setattr(propagator, "_cpus", lambda: 1)
+    serial = series_records(tmp_path, "serial.csv")
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 10**18)
+    monkeypatch.setattr(propagator, "_cpus", lambda: 2)
+    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 0)
+    threaded, build = [], propagator._live_factor
+    monkeypatch.setattr(propagator, "_live_factor",
+                        lambda L, c: threaded.append(on_thread()) or build(L, c))
+    assert series_records(tmp_path, "threaded.csv") == serial
+    assert any(threaded)
+
+
+def test_failing_row_joins_the_thread(tmp_path, monkeypatch, helper_on):
+    baseline = threading.active_count()
+    spectrum, rows = experiments.magnitude_spectrum, []
+
+    def failing(M):
+        rows.append(1)
+        if len(rows) == 10:
+            raise SpectralError("row 9 failed")
+        return spectrum(M)
+
+    monkeypatch.setattr(experiments, "magnitude_spectrum", failing)
+    with pytest.raises(SpectralError, match="row 9 failed") as held:
+        series_records(tmp_path, "o.csv")
+    # the traceback still holds the time series' frames, and its walk
+    assert held.value.__traceback__ is not None
+    assert threading.active_count() == baseline
+    assert helper_on.threaded()
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -278,8 +350,8 @@ def run_script(code, *args, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-# The factor thread on every other block; prints the walks it served, the
-# factors it built and the threads left after the run.
+# The factor thread on every other interval; prints the walks propagate
+# started, whether the thread built a factor and the threads left after the run.
 THREAD_ON = """
 import sys, threading
 import tiedyn.propagator as propagator
@@ -287,14 +359,14 @@ import tiedyn.propagator as propagator
 propagator._THREAD_MIN_LIVE = 0
 propagator._cpus = lambda: 2
 served, on_thread = [], []
-ahead, build = propagator._factors_ahead, propagator._block_factor
-propagator._factors_ahead = lambda *args: served.append(1) or ahead(*args)
+walk, build = propagator.iter_factors, propagator._live_factor
+propagator.iter_factors = lambda *args: served.append(1) or walk(*args)
 
 def recorded(*args):
     on_thread.append(threading.current_thread() is not threading.main_thread())
     return build(*args)
 
-propagator._block_factor = recorded
+propagator._live_factor = recorded
 
 def report():
     print(len(served), sum(on_thread) > 0, threading.active_count())
@@ -334,7 +406,9 @@ def test_cli_with_helper_writes_the_serial_csv(tmp_path, mode):
 
 
 # bench/trace.py keeps one stack of open spans per process, so a span the
-# thread opened would interleave with the main thread's.
+# thread opened would interleave with the main thread's. The main thread
+# builds its factors through the traced interval_factor, the thread through
+# the untraced _live_factor.
 TRACED_WITH_HELPER = THREAD_ON + """
 import importlib.util, json
 sys.path.insert(0, sys.argv[1])
@@ -355,7 +429,8 @@ sys.exit(code)
 
 def test_traced_run_with_helper_is_sound(tmp_path):
     events = tmp_path / "events.txt"
-    events.write_text(serialize_events(stream_of(STREAMS[0])))
+    stream = stream_of(STREAMS[0])
+    events.write_text(serialize_events(stream))
     spans_path = tmp_path / "spans.json"
     result = run_script(TRACED_WITH_HELPER, BENCH, spans_path, "--input", events,
                         "--mode", "aggregate-compare", "--alpha", "0.01",
@@ -372,4 +447,7 @@ def test_traced_run_with_helper_is_sound(tmp_path):
             assert p_start <= start and end <= p_end, name
     metrics = json.loads(metrics)
     assert metrics["propagator.propagate_s"] > 0
+    # the main thread's half of the intervals
+    n_intervals = len(list(intervals(stream, 0.01)))
+    assert metrics["propagator.factor_calls"] == (n_intervals + 1) // 2
     assert min(metrics.values()) >= 0, metrics

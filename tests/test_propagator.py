@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,3 +260,27 @@ def test_degroot_run_rejects_bad_delta_t(delta_t):
     s = parse_events("0 a b\n1 b c\n2 a c")
     with pytest.raises(ValueError, match="delta_t must be positive and finite"):
         degroot_run(np.array([1.0, 0.0, -1.0]), s, 1.0, delta_t, 8)
+
+
+OPINION_RUNS = {
+    "evolve_opinions": lambda x0, s: evolve_opinions(x0, s, 1.0),
+    "ode_oracle": lambda x0, s: ode_oracle(x0, s, 1.0, step=1e-2),
+    "degroot_run": lambda x0, s: degroot_run(x0, s, 1.0, 0.5, 4),
+}
+
+
+@pytest.mark.parametrize("text", ["0 a b\n0 b c", "0 a b\n1 b c\n2 a c"],
+                         ids=["no-interval", "two-intervals"])
+@pytest.mark.parametrize("x0", [np.zeros(7), np.zeros(2), np.zeros((2, 3)),
+                                np.zeros((3, 1)), np.float64(1.0)],
+                         ids=["length-7", "length-2", "2x3", "3x1", "scalar"])
+@pytest.mark.parametrize("name", OPINION_RUNS)
+def test_opinion_vector_must_hold_one_opinion_per_node(name, x0, text):
+    s = parse_events(text)
+    message = f"opinion vector has shape {np.shape(x0)}, stream has N=3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OPINION_RUNS[name](x0, s)
+    # a right vector is copied, not changed in place
+    x = np.array([1.0, 0.0, -1.0])
+    assert OPINION_RUNS[name](x, s).shape == (3,)
+    assert np.array_equal(x, [1.0, 0.0, -1.0])
