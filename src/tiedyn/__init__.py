@@ -1,9 +1,9 @@
 """Opinion dynamics and spectral-gap analysis on tie-decay temporal networks."""
 
 from .aggregate import aggregate_propagator, aggregate_weights
-from .events import (Event, EventStream, EventStreamError,
-                     exclude_low_degree_nodes, group_event_times, parse_events,
-                     serialize_events, stream_stats)
+from .events import (EventStream, EventStreamError, exclude_low_degree_nodes,
+                     group_event_times, parse_events, serialize_events,
+                     stream_stats)
 from .propagator import (IntervalFactor, Propagator, degroot_run,
                          degroot_transition, evolve_opinions, interval_factor,
                          iter_factors, ode_oracle, propagate)

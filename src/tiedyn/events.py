@@ -24,17 +24,11 @@ class EventStreamError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    """A single contact event (t, i, j) with dense node indices."""
+    """One event (t, i, j) of a stream, as ``EventStream.events`` yields it."""
 
     time: float
     source: int
     target: int
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise EventStreamError(f"negative event time {self.time}")
-        if self.source == self.target:
-            raise EventStreamError(f"self-event on node {self.source}")
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -58,7 +52,8 @@ class EventStream:
     index i. ``horizon`` is the time of the last event. In undirected
     mode each contact is stored once and interpreted symmetrically.
     ``events`` is the same stream as a tuple of ``Event``, built when it
-    is first read; ``from_events`` builds a stream from one.
+    is first read. A stream is built by hand from its columns, and
+    ``__post_init__`` is the one validator of a stream.
     """
 
     times: np.ndarray
@@ -103,14 +98,6 @@ class EventStream:
                 raise EventStreamError(f"node index out of range in "
                                        f"Event(time={t!r}, source={i}, target={j})")
             raise EventStreamError(f"self-event on node {i}")
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event], node_count: int,
-                    labels: tuple[str, ...], directed: bool = False) -> EventStream:
-        """A stream from ``Event`` objects, checked as any stream is."""
-        events = tuple(events)
-        return cls([e.time for e in events], [e.source for e in events],
-                   [e.target for e in events], node_count, labels, directed)
 
     def __eq__(self, other):
         if not isinstance(other, EventStream):

@@ -64,11 +64,6 @@ def member_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-def _sorted_edge_index(stream: EventStream) -> list[tuple[tuple[int, int], list[float]]]:
-    """Edge -> times mapping in a deterministic (sorted-key) order."""
-    return sorted(stream.edge_event_index().items())
-
-
 def _rebuild(stream: EventStream,
              edge_times: list[tuple[tuple[int, int], list[float]]]) -> EventStream:
     """Events edge by edge in the given order, then stably sorted by time."""
@@ -89,7 +84,7 @@ def interval_shuffle(stream: EventStream, seed: int) -> EventStream:
     """Permute each edge's inter-event times; first/last times fixed."""
     rng = np.random.default_rng(seed)
     shuffled = []
-    for key, times in _sorted_edge_index(stream):
+    for key, times in stream.edge_event_index().items():
         if len(times) <= 2:
             shuffled.append((key, times))
             continue
@@ -108,7 +103,7 @@ def interval_shuffle(stream: EventStream, seed: int) -> EventStream:
 def shuffle_time_stamps(stream: EventStream, seed: int,
                         repetitions: int | None = None) -> EventStream:
     """Swap time stamps of two random events on two distinct edges."""
-    edge_times = _sorted_edge_index(stream)
+    edge_times = list(stream.edge_event_index().items())
     if len(edge_times) < 2:
         raise ValueError("shuffled time stamps needs at least 2 edges")
     if repetitions is None:
@@ -132,7 +127,7 @@ def random_times(stream: EventStream, seed: int) -> EventStream:
         raise ValueError("random times needs a positive time horizon")
     rng = np.random.default_rng(seed)
     redrawn = []
-    for key, times in _sorted_edge_index(stream):
+    for key, times in stream.edge_event_index().items():
         new_times = sorted(rng.uniform(0.0, T, size=len(times)))
         redrawn.append((key, new_times))
     return _rebuild(stream, redrawn)
@@ -145,14 +140,14 @@ def random_edge_shuffle(stream: EventStream, seed: int,
     A proposed rewire that would create a self-loop or duplicate an
     existing edge is redrawn (bounded retries, then the swap is skipped).
     """
-    edge_map = {key: times for key, times in _sorted_edge_index(stream)}
+    edge_map = stream.edge_event_index()
     if len(edge_map) < 2:
         raise ValueError("random edge shuffling needs at least 2 edges")
     if repetitions is None:
         repetitions = default_repetitions(stream)
     rng = np.random.default_rng(seed)
 
-    keys = sorted(edge_map)  # kept equal to sorted(edge_map) across swaps
+    keys = list(edge_map)  # in key order, kept equal to sorted(edge_map) across swaps
     for _ in range(repetitions):
         for _attempt in range(_MAX_REWIRE_RETRIES):
             a, b = rng.choice(len(keys), size=2, replace=False)

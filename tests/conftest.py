@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from tiedyn.events import Event, EventStream
+from tiedyn.events import EventStream
+
+
+def stream_from_rows(rows, node_count, labels=None, directed=False):
+    """A stream from ``(t, i, j)`` rows, built from their columns. Labels
+    default to ``"0"``, ``"1"``, ..."""
+    rows = list(rows)
+    times, sources, targets = zip(*rows) if rows else ((), (), ())
+    if labels is None:
+        labels = tuple(map(str, range(node_count)))
+    return EventStream(times, sources, targets, node_count, labels, directed)
 
 
 def make_random_stream(seed, n_max=6, max_events=30, directed=False):
@@ -12,16 +22,9 @@ def make_random_stream(seed, n_max=6, max_events=30, directed=False):
     n_events = int(rng.integers(2, max_events + 1))
     times = np.round(np.sort(rng.uniform(0, 50, size=n_events)), 1)
     times -= times[0]
-    events = []
-    for t in times:
-        i, j = rng.choice(n, size=2, replace=False)
-        events.append(Event(float(t), int(i), int(j)))
-    return EventStream.from_events(
-        events=tuple(events),
-        node_count=n,
-        labels=tuple(str(k) for k in range(n)),
-        directed=directed,
-    )
+    pairs = np.array([rng.choice(n, size=2, replace=False) for _ in times])
+    return EventStream(times, pairs[:, 0], pairs[:, 1], n,
+                       tuple(map(str, range(n))), directed)
 
 
 # labels that ``str.split`` and ``str.splitlines`` leave whole
@@ -46,18 +49,14 @@ def streams(draw):
     for i, j in pairs:
         index.setdefault(i, len(index))
         index.setdefault(j, len(index))
-    events = tuple(Event(t - times[0], index[i], index[j])
-                   for t, (i, j) in zip(times, pairs))
     order = sorted(index, key=index.get)
-    return EventStream.from_events(events, len(index), tuple(names[k] for k in order),
-                                   directed=draw(st.booleans()))
+    return stream_from_rows(((t - times[0], index[i], index[j])
+                             for t, (i, j) in zip(times, pairs)),
+                            len(index), tuple(names[k] for k in order),
+                            draw(st.booleans()))
 
 
 @pytest.fixture
 def two_node_stream():
     """Single edge, events at t=0 and t=20."""
-    return EventStream.from_events(
-        events=(Event(0.0, 0, 1), Event(20.0, 0, 1)),
-        node_count=2,
-        labels=("a", "b"),
-    )
+    return EventStream([0.0, 20.0], [0, 0], [1, 1], 2, ("a", "b"))

@@ -16,8 +16,8 @@ import pytest
 import scipy.linalg
 
 from tiedyn.aggregate import aggregate_propagator, aggregate_weights
-from tiedyn.events import (Event, EventStream, exclude_low_degree_nodes,
-                           group_event_times, parse_events, stream_stats)
+from tiedyn.events import (EventStream, exclude_low_degree_nodes, group_event_times,
+                           parse_events, stream_stats)
 from tiedyn.propagator import (evolve_opinions, interval_factor, iter_factors,
                                propagate)
 from tiedyn.randomize import (interval_shuffle, random_edge_shuffle,
@@ -52,12 +52,8 @@ def random_stream(seed, n_max, max_events, horizon=10.0):
     n_events = int(rng.integers(2, max_events + 1))
     times = np.sort(rng.uniform(0, horizon, size=n_events))
     times -= times[0]
-    events = tuple(
-        Event(float(t), *map(int, rng.choice(n, size=2, replace=False)))
-        for t in times
-    )
-    return EventStream.from_events(events=events, node_count=n,
-                                   labels=tuple(map(str, range(n))))
+    pairs = np.array([rng.choice(n, size=2, replace=False) for _ in times])
+    return EventStream(times, pairs[:, 0], pairs[:, 1], n, tuple(map(str, range(n))))
 
 
 def test_criterion_1_stochasticity():

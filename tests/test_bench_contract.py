@@ -59,6 +59,17 @@ def test_run_py_calls():
         assert len(member.events) == len(stream.events)
 
 
+def test_checks_py_reads():
+    # bench/checks.py reads a member's edge index and its events' times
+    stream = tiedyn.parse_events(STREAM)
+    for method in METHODS:
+        member = tiedyn.randomize(stream, tiedyn.RandomizerSpec(method, 7))
+        for key, times in member.edge_event_index().items():
+            assert type(key) is tuple and [type(n) for n in key] == [int, int]
+            assert type(times) is list and all(type(t) is float for t in times)
+        assert all(type(e.time) is float for e in member.events)
+
+
 def traced_span_names(tmp_path, *cli_args) -> list[str]:
     """Span names of one bench/trace.py run of the CLI on STREAM."""
     inp = tmp_path / "events.txt"

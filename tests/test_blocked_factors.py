@@ -16,7 +16,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import tiedyn.propagator as propagator
-from tiedyn.events import Event, EventStream, group_event_times, parse_events
+from tiedyn.events import EventStream, group_event_times, parse_events
 from tiedyn.experiments import ExperimentConfig, run_time_series
 from tiedyn.propagator import (IntervalFactor, _expm, evolve_opinions,
                                interval_factor, iter_factors, propagate)
@@ -46,10 +46,9 @@ def sparse_stream(seed, directed=False, n=12, n_events=40):
     rng = np.random.default_rng(seed)
     times = np.round(np.sort(rng.uniform(0, 40, size=n_events)), 1)
     times -= times[0]
-    events = tuple(Event(float(t), *map(int, rng.choice(n, size=2, replace=False)))
-                   for t in times)
-    return EventStream.from_events(events=events, node_count=n,
-                                   labels=tuple(map(str, range(n))), directed=directed)
+    pairs = np.array([rng.choice(n, size=2, replace=False) for _ in times])
+    return EventStream(times, pairs[:, 0], pairs[:, 1], n,
+                       tuple(map(str, range(n))), directed)
 
 
 def crossing_stream():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tiedyn.events import Event, EventStream, parse_events, serialize_events
+from tiedyn.events import parse_events, serialize_events
 from tiedyn.randomize import (METHODS, RandomizerSpec, default_repetitions,
                               interval_shuffle, member_seed,
                               random_edge_shuffle, random_times, randomize,
                               shuffle_time_stamps)
 
-from conftest import make_random_stream, streams
+from conftest import make_random_stream, stream_from_rows, streams
 
 
 def edge_times(stream):
@@ -81,7 +81,9 @@ def test_interval_shuffle_preserves_aggregate_structure():
 def test_shuffle_time_stamps_preserves_global_times_and_counts(seed):
     s = make_random_stream(seed)
     if len(s.edge_event_index()) < 2:
-        pytest.skip("needs 2 edges")
+        with pytest.raises(ValueError, match="2 edges"):
+            shuffle_time_stamps(s, seed)
+        return
     out = shuffle_time_stamps(s, seed)
     assert Counter(e.time for e in out.events) == Counter(e.time for e in s.events)
     assert {k: len(v) for k, v in out.edge_event_index().items()} == \
@@ -156,7 +158,9 @@ def test_random_edge_shuffle_two_edges_hand_trace():
 def test_random_edge_shuffle_preserves_times_and_degrees(seed):
     s = make_random_stream(seed, n_max=8, max_events=20)
     if len(s.edge_event_index()) < 2:
-        pytest.skip("needs 2 edges")
+        with pytest.raises(ValueError, match="2 edges"):
+            random_edge_shuffle(s, seed)
+        return
     out = random_edge_shuffle(s, seed)
     assert Counter(e.time for e in out.events) == Counter(e.time for e in s.events)
     assert degree_sequence(out) == degree_sequence(s)
@@ -246,10 +250,9 @@ def reference_edge_shuffle(stream, seed):
             break
         else:
             skipped += 1
-    events = [Event(t, i, j) for (i, j), times in sorted(edge_map.items())
-              for t in times]
-    out = EventStream.from_events(sorted(events, key=lambda e: e.time),
-                                  stream.node_count, stream.labels, stream.directed)
+    rows = [(t, i, j) for (i, j), times in sorted(edge_map.items()) for t in times]
+    out = stream_from_rows(sorted(rows, key=lambda row: row[0]),
+                           stream.node_count, stream.labels, stream.directed)
     return out, retries, skipped
 
 
@@ -259,8 +262,8 @@ def dense_stream(directed):
     find no free pair within the retry bound."""
     pairs = [(i, j) for i in range(6) for j in range(6)
              if i != j and (directed or i < j) and {i, j} not in ({0, 3}, {1, 4}, {2, 5})]
-    events = tuple(Event(float(t), i, j) for t, (i, j) in enumerate(pairs))
-    return EventStream.from_events(events, 6, tuple("abcdef"), directed)
+    return stream_from_rows(((float(t), i, j) for t, (i, j) in enumerate(pairs)),
+                            6, tuple("abcdef"), directed)
 
 
 @pytest.mark.parametrize("directed", [False, True])

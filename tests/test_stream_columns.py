@@ -18,28 +18,30 @@ from tiedyn.events import (Event, EventStream, EventStreamError,
                            exclude_low_degree_nodes, parse_events)
 from tiedyn.propagator import propagate
 
+from conftest import stream_from_rows
 
-def reference_checks(events, node_count, labels):
-    """The per-event stream checks, in their order."""
-    if not events:
+
+def reference_checks(rows, node_count, labels):
+    """The per-event stream checks on ``(t, i, j)`` rows, in their order."""
+    if not rows:
         raise EventStreamError("empty event stream")
     if node_count <= 0:
         raise EventStreamError("node_count must be positive")
     if len(labels) != node_count:
         raise EventStreamError("label count does not match node_count")
     prev = -1.0
-    for ev in events:
-        if not 0 <= ev.time < math.inf:
-            raise EventStreamError(f"event time {ev.time} must be finite and >= 0")
-        if ev.time < prev:
+    for t, i, j in rows:
+        if not 0 <= t < math.inf:
+            raise EventStreamError(f"event time {t} must be finite and >= 0")
+        if t < prev:
             raise EventStreamError("events are not sorted by time")
-        prev = ev.time
-        if not (0 <= ev.source < node_count) or not (0 <= ev.target < node_count):
-            raise EventStreamError(f"node index out of range in {ev}")
+        prev = t
+        if not (0 <= i < node_count) or not (0 <= j < node_count):
+            raise EventStreamError(f"node index out of range in {Event(t, i, j)}")
 
 
 def reference_parse(text):
-    """The per-line parser: (events, labels)."""
+    """The per-line parser: ``(t, i, j)`` rows and labels."""
     raw = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -65,12 +67,12 @@ def reference_parse(text):
     raw.sort(key=lambda r: r[0])
     t0 = raw[0][0]
     index = {}
-    events = tuple(
-        Event(t - t0, index.setdefault(i, len(index)), index.setdefault(j, len(index)))
+    rows = tuple(
+        (t - t0, index.setdefault(i, len(index)), index.setdefault(j, len(index)))
         for t, i, j in raw)
     labels = tuple(index)
-    reference_checks(events, len(labels), labels)
-    return events, labels
+    reference_checks(rows, len(labels), labels)
+    return rows, labels
 
 
 LABELS = ["a", "b", "node_7", "42", "007", "x#y", "#h", "ü", "名前", "-3", "1e5",
@@ -110,21 +112,20 @@ def test_parse_matches_reference():
         text = random_text(rng, lines=int(rng.integers(1, 60)))
         directed = bool(rng.integers(2))
         try:
-            events, labels = reference_parse(text)
+            rows, labels = reference_parse(text)
         except EventStreamError as err:  # only blank and comment lines drawn
             assert str(err) == "empty input"
             with pytest.raises(EventStreamError, match="^empty input$"):
                 parse_events(text, directed)
             continue
         s = parse_events(text, directed)
-        assert s.events == events
+        assert s.events == tuple(Event(*row) for row in rows)
         assert s.labels == labels
         assert s.node_count == len(labels)
         assert s.directed == directed
         assert s.times.dtype == np.float64 and s.sources.dtype == np.intp
-        assert s.times.tolist() == [e.time for e in events]
-        assert s.sources.tolist() == [e.source for e in events]
-        assert s.targets.tolist() == [e.target for e in events]
+        assert list(zip(s.times.tolist(), s.sources.tolist(),
+                        s.targets.tolist())) == list(rows)
         # the same lines, one at a time
         assert parse_events(text.splitlines(), directed) == s
         parsed += 1
@@ -157,51 +158,49 @@ def test_parse_empty_input_matches_reference(text):
     assert str(got.value) == str(expected.value) == "empty input"
 
 
+# (t, i, j) rows and node count of streams the constructor rejects
 FAULTY_EVENTS = {
     "empty": ((), 2),
-    "unsorted": ((Event(0.0, 0, 1), Event(5.0, 1, 2), Event(1.0, 0, 2)), 3),
-    "out_of_range": ((Event(0.0, 0, 1), Event(1.0, 0, 3)), 3),
-    "negative_index": ((Event(0.0, 0, 1), Event(1.0, -1, 2)), 3),
-    "nan": ((Event(0.0, 0, 1), Event(math.nan, 1, 2)), 3),
-    "inf": ((Event(0.0, 0, 1), Event(math.inf, 1, 2)), 3),
-    "nan_first": ((Event(math.nan, 0, 1), Event(1.0, 1, 2)), 3),
-    "range_before_unsorted": ((Event(2.0, 0, 9), Event(1.0, 0, 1)), 3),
-    "unsorted_before_range": ((Event(2.0, 0, 1), Event(1.0, 0, 9)), 3),
-    "nan_after_range": ((Event(0.0, 0, 9), Event(math.nan, 0, 1)), 3),
-    "no_nodes": ((Event(0.0, 0, 1),), 0),
+    "unsorted": (((0.0, 0, 1), (5.0, 1, 2), (1.0, 0, 2)), 3),
+    "out_of_range": (((0.0, 0, 1), (1.0, 0, 3)), 3),
+    "negative_index": (((0.0, 0, 1), (1.0, -1, 2)), 3),
+    "nan": (((0.0, 0, 1), (math.nan, 1, 2)), 3),
+    "inf": (((0.0, 0, 1), (math.inf, 1, 2)), 3),
+    "nan_first": (((math.nan, 0, 1), (1.0, 1, 2)), 3),
+    "range_before_unsorted": (((2.0, 0, 9), (1.0, 0, 1)), 3),
+    "unsorted_before_range": (((2.0, 0, 1), (1.0, 0, 9)), 3),
+    "nan_after_range": (((0.0, 0, 9), (math.nan, 0, 1)), 3),
+    "no_nodes": (((0.0, 0, 1),), 0),
 }
 
 
 @pytest.mark.parametrize("case", FAULTY_EVENTS)
 def test_from_events_errors_match_reference(case):
-    events, n = FAULTY_EVENTS[case]
+    rows, n = FAULTY_EVENTS[case]
     labels = tuple(str(k) for k in range(n))
     with pytest.raises(EventStreamError) as expected:
-        reference_checks(events, n, labels)
+        reference_checks(rows, n, labels)
     with pytest.raises(EventStreamError) as got:
-        EventStream.from_events(events, n, labels)
+        stream_from_rows(rows, n, labels)
     assert str(got.value) == str(expected.value)
 
 
 def test_from_events_label_count_matches_reference():
-    events = (Event(0.0, 0, 1),)
+    rows = ((0.0, 0, 1),)
     with pytest.raises(EventStreamError) as expected:
-        reference_checks(events, 2, ("a",))
+        reference_checks(rows, 2, ("a",))
     with pytest.raises(EventStreamError) as got:
-        EventStream.from_events(events, 2, ("a",))
+        stream_from_rows(rows, 2, ("a",))
     assert str(got.value) == str(expected.value)
 
 
 def test_columns_reject_what_no_event_can_hold():
-    # Event rejects a self-event when it is built; columns are checked
     with pytest.raises(EventStreamError, match="^self-event on node 1$"):
         EventStream([0.0, 1.0], [0, 1], [1, 1], 2, ("a", "b"))
     with pytest.raises(EventStreamError, match="differ in length"):
         EventStream([0.0, 1.0], [0], [1], 2, ("a", "b"))
     with pytest.raises(EventStreamError, match="cannot store float64"):
         EventStream([0.0], [0.5], [1], 2, ("a", "b"))
-    with pytest.raises(EventStreamError, match="cannot store float64"):
-        EventStream.from_events([Event(0.0, 1.0, 0)], 2, ("a", "b"))
     s = EventStream([0, 2], np.array([0, 1], dtype=np.uint8), [1, 0], 2, ("a", "b"))
     assert s.times.dtype == np.float64 and s.sources.dtype == np.intp
 
@@ -216,18 +215,17 @@ def test_columns_are_read_only_copies():
             col[0] = 1
     assert s.events == (Event(0.0, 0, 1), Event(2.0, 1, 2))
     assert s.events is s.events  # built once
-    assert EventStream.from_events(s.events, 3, s.labels) == s
 
 
 def test_hot_paths_build_no_event(monkeypatch, tmp_path):
     built = []
 
-    class CountingEvent(Event):
-        def __post_init__(self):
-            built.append(self)
-            Event.__post_init__(self)
+    def counting_event(*fields):
+        built.append(Event(*fields))
+        return built[-1]
 
-    monkeypatch.setattr(events_module, "Event", CountingEvent)
+    # ``events`` looks the name up when it runs
+    monkeypatch.setattr(events_module, "Event", counting_event)
     rng = np.random.default_rng(5)
     lines = [f"{t} n{i} n{j}" for t, (i, j) in
              enumerate(rng.choice(8, size=2, replace=False) for _ in range(60))]

@@ -10,14 +10,14 @@ import pytest
 import scipy.linalg
 
 from tiedyn import spectral
-from tiedyn.events import Event, EventStream, group_event_times, parse_events
+from tiedyn.events import group_event_times, parse_events
 from tiedyn.experiments import (ExperimentConfig, records_to_csv,
                                 run_time_series)
 from tiedyn.propagator import iter_factors
 from tiedyn.spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
                              shrinkage_ratio, spectral_gap)
 
-from conftest import make_random_stream
+from conftest import make_random_stream, stream_from_rows
 
 
 def ring_stream(n=140, extra=12, seed=0):
@@ -25,11 +25,11 @@ def ring_stream(n=140, extra=12, seed=0):
     the first interval on, and large enough that LAPACK's eigenvalue-only
     and eigenvector solves return eigenvalues that differ in the last bits."""
     rng = np.random.default_rng(seed)
-    events = [Event(0.0, k, (k + 1) % n) for k in range(n)]
+    rows = [(0.0, k, (k + 1) % n) for k in range(n)]
     for t in np.round(np.sort(rng.uniform(1, 30, extra)), 1):
         i, j = rng.choice(n, size=2, replace=False)
-        events.append(Event(float(t), int(i), int(j)))
-    return EventStream.from_events(events, n, tuple(str(k) for k in range(n)))
+        rows.append((t, i, j))
+    return stream_from_rows(rows, n)
 
 
 STREAMS = {
