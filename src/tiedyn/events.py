@@ -144,10 +144,11 @@ class EventStream:
 
 
 def format_float(x: float) -> str:
-    """Shortest round-trip decimal of ``float(x)``; integer values print
-    without a fraction (``3``, not ``3.0``)."""
+    """Shortest round-trip decimal of ``float(x)``; integer values below
+    1e16, where ``repr`` turns to exponent form, print without a fraction
+    (``3``, not ``3.0``)."""
     x = float(x)
-    return repr(int(x)) if x.is_integer() else repr(x)
+    return repr(int(x)) if x.is_integer() and abs(x) < 1e16 else repr(x)
 
 
 def parse_events(text: str | Iterable[str],

@@ -14,7 +14,6 @@ configurations yield byte-identical CSV.
 from __future__ import annotations
 
 import math
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .aggregate import aggregate_propagator, aggregate_weights
 from .events import (EventStream, exclude_low_degree_nodes, format_float,
                      group_event_times, parse_events)
 from . import propagator
-from .propagator import IntervalFactor, _cpus, iter_factors, propagate
+from .propagator import IntervalFactor, _cpus, _in_order, iter_factors, propagate
 from .randomize import (METHODS, RandomizerSpec, member_seed, randomize)
 from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
                        magnitude_spectrum, shrinkage_ratio, spectral_gap)
@@ -180,60 +179,39 @@ def _run_task(task):
     return _task_fn(task)
 
 
-def _submitted(pool, tasks: Iterable):
-    """One future per task, in task order. If iterating ``tasks`` raises,
-    the last future holds that error, so it comes after the tasks before it."""
-    from concurrent.futures import Future
-
-    try:
-        for task in tasks:
-            yield pool.submit(_run_task, task)
-    except Exception as error:
-        failed = Future()
-        failed.set_exception(error)
-        yield failed
-
-
 def _map_tasks(fn, tasks: Iterable, work: int, count: int | None = None) -> list:
     """``[fn(task) for task in tasks]``, on every CPU when that pays.
 
     ``count`` is the number of tasks, needed when ``tasks`` has no length.
-    With more than one task and CPU, at least ``_POOL_MIN_WORK`` work and
-    the ``fork`` start method, the tasks run in a pool of
-    ``min(CPUs, tasks)`` forked workers. ``fn`` and the stream it closes
-    over reach the workers through the fork, unpickled, where ``spawn``
-    would import numpy again and pickle the stream into every worker; a
-    task and its result are pickled. The pool forks its workers before it
-    starts its own thread, and OpenBLAS stops its threads before a fork
-    (``pthread_atfork``). While the pool runs, ``propagator._pool_busy``
-    is set here and, through the fork, in the workers, so no walk of
-    either starts a factor thread. ``tasks`` is drawn lazily, at most two
-    tasks per worker ahead of the results read. Results come back in task
-    order, and the first failure in that order raises its own exception,
-    as the serial loop would: a failed task, or ``tasks`` itself raising
-    after the tasks before it. A worker that dies raises ``BrokenProcessPool``.
-    Every worker is joined before this returns or raises.
+    With more than one task and CPU and at least ``_POOL_MIN_WORK`` work,
+    the tasks run in a pool of ``min(CPUs, tasks)`` forked workers (every
+    system with an affinity mask, ``_cpus``, has ``fork``). ``fn`` and the
+    stream it closes over reach the workers through the fork, unpickled,
+    where ``spawn`` would import numpy again and pickle the stream into
+    every worker; a task and its result are pickled. The pool forks its
+    workers before it starts its own thread, and OpenBLAS stops its
+    threads before a fork (``pthread_atfork``). While the pool runs,
+    ``propagator._pool_busy`` is set here and, through the fork, in the
+    workers, so no walk of either starts a factor thread. ``tasks`` is drawn lazily, with at most
+    two tasks per worker in flight, and results come back in task order
+    (``propagator._in_order``): the first failure in that order raises its
+    own exception, as the serial loop would, a failed task or ``tasks``
+    itself raising after the tasks before it. A worker that dies raises
+    ``BrokenProcessPool``. Every worker is joined before this returns or
+    raises.
     """
     workers = min(_cpus(), len(tasks) if count is None else count)
     if workers < 2 or work < _POOL_MIN_WORK:
         return [fn(task) for task in tasks]
     import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
     global _task_fn
     _task_fn, propagator._pool_busy = fn, True
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     try:
-        results, window = [], deque()
-        for future in _submitted(pool, tasks):
-            window.append(future)
-            if len(window) == 2 * workers:
-                results.append(window.popleft().result())
-        results.extend(future.result() for future in window)
-        return results
+        return list(_in_order((pool.submit(_run_task, task) for task in tasks),
+                              2 * workers - 1))
     finally:
         pool.shutdown(cancel_futures=True)
         _task_fn, propagator._pool_busy = None, False
@@ -296,7 +274,6 @@ def _series_row(M: np.ndarray, Y: IntervalFactor | None) -> tuple[float, float |
     if Y is None:
         return gap, None, "last_event_time"
     try:
-        spectrum.require_fiedler()
         return gap, shrinkage_ratio(M, Y, spectrum), ""
     except DegenerateFiedlerError:
         return gap, None, "degenerate_fiedler"

@@ -17,7 +17,7 @@ from collections import deque
 from contextlib import closing, suppress
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,6 +74,31 @@ _pool_busy = False
 def _cpus() -> int:
     """CPUs this process may run on (its affinity mask, as ``taskset`` sets)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_order(items: Iterable, window: int) -> Iterator:
+    """Yield ``items`` in order, a future (an item with a ``result`` method)
+    as its result, holding at most ``window`` items drawn beyond the one
+    yielded. A failed future raises its error in its place, and an error
+    that drawing ``items`` raises comes after the items before it, as in
+    a serial loop."""
+    held, items, error = deque(), iter(items), None
+    while True:
+        try:
+            held.append(next(items))
+        except StopIteration:
+            break
+        except Exception as raised:
+            error = raised
+            break
+        if len(held) > window:
+            item = held.popleft()
+            yield item.result() if hasattr(item, "result") else item
+    while held:
+        item = held.popleft()
+        yield item.result() if hasattr(item, "result") else item
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -218,14 +243,6 @@ def _move_off(cpu: int | None) -> None:
             os.sched_setaffinity(0, allowed)
 
 
-def _settled(item) -> IntervalFactor:
-    """An entry of ``iter_factors``' window as a factor: built, awaited
-    from the thread, or the error that stopped the walk, raised."""
-    if isinstance(item, Exception):
-        raise item
-    return item if isinstance(item, IntervalFactor) else item.result()
-
-
 def iter_factors(stream: EventStream, alpha: float,
                  upto: float | None = None) -> Iterator[IntervalFactor]:
     """Yield interval factors in time order up to ``upto``.
@@ -236,40 +253,46 @@ def iter_factors(stream: EventStream, alpha: float,
     thread when the interval before it was built here with at least
     ``_THREAD_MIN_LIVE`` live nodes; this thread builds the others with
     ``interval_factor``. The thread starts with its first interval and
-    moves off this thread's CPU once. Factors come out in interval order,
-    at most ``_AHEAD`` intervals behind the walk, and so do their errors,
-    the thread's too. The thread is joined before this generator returns,
-    raises or is closed, so a caller that may stop early closes it
-    (``contextlib.closing``).
+    moves off this thread's CPU once. Factors come out in interval order
+    (``_in_order``), at most ``_AHEAD`` intervals behind the walk, and so
+    do their errors, the thread's too. The thread is joined before this
+    generator returns, raises or is closed, so a caller that may stop
+    early closes it (``contextlib.closing``).
     """
     spare = not _pool_busy and _cpus() > 1
-    ahead = deque()  # factors, the thread's futures and an error, in order
     thread = None
-    live = -1  # live nodes of the previous interval's factor, if built here
-    try:
+
+    def built():  # factors and the thread's futures, in interval order
+        nonlocal thread
+        live = -1  # live nodes of the previous interval's factor, if built here
         for _, dt, L in intervals(stream, alpha, upto):
-            try:
-                if spare and live >= _THREAD_MIN_LIVE:
-                    if thread is None:
-                        from concurrent.futures import ThreadPoolExecutor
-                        thread = ThreadPoolExecutor(1, "tiedyn-factor", _move_off,
-                                                    (_this_cpu(),))
-                    c = math.expm1(-alpha * dt) / alpha  # as in interval_factor
-                    ahead.append(thread.submit(_live_factor, L, c))
-                    live = -1
-                else:
-                    ahead.append(fac := interval_factor(L, dt, alpha))
-                    live = len(fac.idx)
-            except Exception as error:  # raised after the factors before it
-                ahead.append(error)
-                break
-            while len(ahead) > _AHEAD:
-                yield _settled(ahead.popleft())
-        while ahead:
-            yield _settled(ahead.popleft())
+            if spare and live >= _THREAD_MIN_LIVE:
+                if thread is None:
+                    from concurrent.futures import ThreadPoolExecutor
+                    thread = ThreadPoolExecutor(1, "tiedyn-factor", _move_off,
+                                                (_this_cpu(),))
+                c = math.expm1(-alpha * dt) / alpha  # as in interval_factor
+                yield thread.submit(_live_factor, L, c)
+                live = -1
+            else:
+                yield (fac := interval_factor(L, dt, alpha))
+                live = len(fac.idx)
+
+    try:
+        yield from _in_order(built(), _AHEAD)
     finally:
         if thread is not None:
             thread.shutdown(cancel_futures=True)
+
+
+def _product(M: np.ndarray, stream: EventStream, alpha: float,
+             upto: float | None) -> np.ndarray:
+    """Overwrite ``M`` with ``M`` times every factor of ``iter_factors``, in
+    interval order on this thread, and return it."""
+    with closing(iter_factors(stream, alpha, upto)) as factors:
+        for fac in factors:
+            fac.apply(M)
+    return M
 
 
 def propagate(stream: EventStream, alpha: float,
@@ -277,11 +300,7 @@ def propagate(stream: EventStream, alpha: float,
     """Accumulate M(upto) as the time-ordered product of interval factors
     (``iter_factors``). The products run on this thread, in interval
     order, so M is bit-identical with or without the factor thread."""
-    M = np.eye(stream.node_count)
-    with closing(iter_factors(stream, alpha, upto)) as factors:
-        for fac in factors:
-            fac.apply(M)
-    return Propagator(M)
+    return Propagator(_product(np.eye(stream.node_count), stream, alpha, upto))
 
 
 def _opinions(x0: np.ndarray, stream: EventStream) -> np.ndarray:
@@ -297,11 +316,7 @@ def _opinions(x0: np.ndarray, stream: EventStream) -> np.ndarray:
 def evolve_opinions(x0: np.ndarray, stream: EventStream, alpha: float,
                     upto: float | None = None) -> np.ndarray:
     """x0 @ M(upto), applied one interval factor at a time."""
-    x = _opinions(x0, stream)
-    with closing(iter_factors(stream, alpha, upto)) as factors:
-        for fac in factors:
-            fac.apply(x)
-    return x
+    return _product(_opinions(x0, stream), stream, alpha, upto)
 
 
 def ode_oracle(x0: np.ndarray, stream: EventStream, alpha: float,

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from tiedyn.events import (Event, EventStream, EventStreamError,
-                           exclude_low_degree_nodes, group_event_times,
-                           parse_events, serialize_events, stream_stats)
+                           exclude_low_degree_nodes, format_float,
+                           group_event_times, parse_events, serialize_events,
+                           stream_stats)
 from tiedyn.randomize import interval_shuffle, random_times
 
 from conftest import make_random_stream, stream_from_rows, streams
@@ -103,6 +104,16 @@ def test_round_trip_property(s):
     assert again.labels == s.labels
     assert again.node_count == s.node_count
     assert again.directed == s.directed
+
+
+@pytest.mark.parametrize("x,text", [
+    (3.0, "3"), (0.25, "0.25"), (-0.0, "0"), (1e15, "1000000000000000"),
+    (-1e15, "-1000000000000000"), (1e16, "1e+16"), (1e23, "1e+23"),
+    (1e300, "1e+300"), (-1e300, "-1e+300"), (math.inf, "inf"),
+])
+def test_format_float_is_the_shortest_round_trip_decimal(x, text):
+    assert format_float(x) == text
+    assert float(text) == x
 
 
 def test_time_shift_preserves_intervals():

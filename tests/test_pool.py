@@ -218,14 +218,6 @@ def test_one_cpu_starts_no_pool(events, tmp_path, monkeypatch, task_pids):
     assert task_pids() == {os.getpid()}
 
 
-def test_no_fork_start_method_runs_serially(events, tmp_path, monkeypatch, pool_on,
-                                             task_pids):
-    pool_on()
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    run_mode(events, tmp_path / "o.csv", "alpha_sweep")
-    assert task_pids() == {os.getpid()}
-
-
 def test_small_work_runs_serially(events, tmp_path, monkeypatch, task_pids):
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
     run_mode(events, tmp_path / "o.csv", "ensemble")

@@ -59,16 +59,17 @@ def row_codes(records):
 
 
 def count_eigenvector_solves(monkeypatch):
-    """Record each fiedler_left call; shrinkage_ratio looks it up through
-    the module global, and each call is one Fiedler-vector solve."""
+    """Record each inverse iteration for u2 (``spectral._right_vector``);
+    fiedler_left looks it up through the module global, and reaches it only
+    for a separated lambda_2, so each call is one Fiedler-vector solve."""
     calls = []
-    original = spectral.fiedler_left
+    original = spectral._right_vector
 
-    def counted(M, spectrum=None):
+    def counted(M, lam):
         calls.append(M)
-        return original(M, spectrum)
+        return original(M, lam)
 
-    monkeypatch.setattr(spectral, "fiedler_left", counted)
+    monkeypatch.setattr(spectral, "_right_vector", counted)
     return calls
 
 
