@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .events import EventStream
-from .propagator import _live_factor
-from .tie_decay import laplacian
+from .propagator import _tie_factor
+from .tie_decay import dense_ties
 
 
 def aggregate_weights(stream: EventStream, alpha: float) -> np.ndarray:
@@ -45,4 +45,4 @@ def aggregate_propagator(weights: np.ndarray, t: float) -> np.ndarray:
     built and checked as an interval factor is."""
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    return _live_factor(laplacian(weights), -t).matrix
+    return _tie_factor(dense_ties(weights), -t).matrix

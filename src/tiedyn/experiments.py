@@ -40,7 +40,14 @@ SLOPE_DEAD_BAND = 1e-9
 # BLAS thread, it broke even with the serial loop near 6,000-8,000, on
 # streams of N = 8-64 nodes with 2-5 tasks: 1.1-4x slower below, 0.7-0.8x
 # from 12,000 up. The margin covers tasks of unequal cost, such as one
-# slow-decay alpha beside a fast one.
+# slow-decay alpha beside a fast one. Measured again with the edge-list walk
+# (run_alpha_sweep, 3 alphas, N = 8-64, medians of 7): at alphas 1-100 the
+# pool took 1.2-2.0x the serial time up to 67,200 and 0.7-0.8x from 76,800;
+# at 0.01-0.1 1.1-1.7x up to 67,200 (the parent: 1.0-1.4x) except 0.68x at
+# N = 64, and 0.6x from 76,800. Its two workers ran on one CPU in these short
+# runs (CHANGES.md). The time series, whose rows' eigen-analysis outweighs
+# the walk, still gains at 25,536 (bench/run.py's timeseries input: 497 ->
+# 417 ms, faster in 5 of 7), so the value stays.
 _POOL_MIN_WORK = 20_000
 
 # Time-series rows per pool task. On the timeseries input of bench/gen.py

@@ -1,16 +1,16 @@
-"""Continuous-time tie-strength matrix with exponential decay.
+"""Continuous-time tie strengths with exponential decay.
 
 Tie strengths decay as db/dt = -alpha*b between events and jump by 1
-when an event occurs on the pair. The combinatorial Laplacian is
-derived from the weight matrix on demand, and ``intervals`` walks a
-stream's event times once, yielding the Laplacian of every
-inter-event interval.
+when an event occurs on the pair. ``timeline`` walks a stream's event
+times once and keeps the strengths as one vector over the stream's
+distinct edges (``Ties``); ``intervals`` gives the dense Laplacian of
+every inter-event interval from it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .events import EventStream, group_event_times
 _FLUSH_THRESHOLD = 1e-300
 
 # decay_to and apply_events are the walk's two in-place kernels. bench/trace.py
-# wraps them by name, and ``intervals`` calls them through the module globals,
+# wraps them by name, and ``timeline`` calls them through the module globals,
 # so the wrappers see every call.
 
 
@@ -47,33 +47,72 @@ def event_cells(sources: np.ndarray, targets: np.ndarray, node_count: int,
 
 def apply_events(w: np.ndarray, cells: np.ndarray) -> None:
     """Add 1 in place to every flat cell in ``cells`` (``event_cells``
-    rows) of the C-contiguous weights ``w``; repeated cells add up."""
+    rows, or edge indices of a ``Ties`` vector) of the C-contiguous
+    weights ``w``; repeated cells add up, in order."""
     if not w.flags.c_contiguous:
         raise ValueError("weights must be C-contiguous")
     np.add.at(w.reshape(-1), cells, 1.0)
 
 
-def laplacian(weights: np.ndarray) -> np.ndarray:
+class Ties(NamedTuple):
+    """A weight matrix in tie form: ``weights[e]`` from ``sources[e]`` to
+    ``targets[e]``, and back again unless ``directed``; zero elsewhere."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    node_count: int
+    directed: bool
+
+
+def dense_ties(W: np.ndarray) -> Ties:
+    """The nonzero off-diagonal entries of the N x N weights ``W`` as
+    directed ties, in row-major order."""
+    if not np.all(np.isfinite(W)):
+        raise ValueError("nonfinite weights")
+    W = W.copy()
+    np.fill_diagonal(W, 0.0)
+    sources, targets = W.nonzero()
+    return Ties(sources, targets, W[sources, targets], W.shape[0], True)
+
+
+def weight_matrix(ties: Ties) -> np.ndarray:
+    """The dense N x N weights of ``ties``."""
+    n = ties.node_count
+    W = np.zeros((n, n))
+    W[ties.sources, ties.targets] = ties.weights
+    if not ties.directed:
+        W[ties.targets, ties.sources] = ties.weights
+    return W
+
+
+def laplacian(weights: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
     """Combinatorial Laplacian L = D - W of a weight matrix.
 
     Row i sums to zero; the diagonal holds node i's weighted out-degree.
+    With ``idx``, ``weights`` holds only the rows of the nodes ``idx``
+    (k x N), and L is the k x k block of D - W on them; each degree is
+    still the sum of a whole row of N weights.
     """
-    L = -weights
-    np.fill_diagonal(L, weights.sum(axis=1))
+    degrees = weights.sum(axis=1)
+    L = -weights if idx is None else -weights[:, idx]
+    np.fill_diagonal(L, degrees)
     return L
 
 
-def intervals(stream: EventStream, alpha: float, upto: float | None = None
-              ) -> Iterator[tuple[float, float, np.ndarray]]:
-    """Yield ``(t_start, dt, L)`` for each inter-event interval up to ``upto``.
+def timeline(stream: EventStream, alpha: float, upto: float | None = None
+             ) -> Iterator[tuple[float, float, Ties]]:
+    """Yield ``(t_start, dt, ties)`` for each inter-event interval up to ``upto``.
 
-    ``L`` is the Laplacian just after the events at ``t_start``; over the
-    interval it decays as ``L e^{-alpha (t - t_start)}``. ``upto``
-    defaults to the horizon and must be finite; a negative ``upto``
-    yields nothing. ``upto`` exactly at an event time means the
-    events at that time are not applied (the walk stops just before
-    them); a final partial interval covers any remaining open time.
-    Each ``L`` is a fresh array, never a view of the walk's weights.
+    ``ties`` holds the tie strengths just after the events at ``t_start``,
+    one weight per distinct edge of the stream (``edge_key`` order); over
+    the interval they decay as ``e^{-alpha (t - t_start)}``. Its weight
+    vector is the walk's own, decayed and bumped in place at the next
+    step, so read it before drawing the next interval. ``upto`` defaults
+    to the horizon and must be finite; a negative ``upto`` yields
+    nothing. ``upto`` exactly at an event time means the events at that
+    time are not applied (the walk stops just before them); a final
+    partial interval covers any remaining open time.
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -82,18 +121,26 @@ def intervals(stream: EventStream, alpha: float, upto: float | None = None
         upto = stream.horizon
     elif not math.isfinite(upto):
         raise ValueError(f"upto must be finite, got {upto}")
-    # the one weight matrix of the walk, decayed and bumped in place
-    w = np.zeros((stream.node_count, stream.node_count))
-    cells = event_cells(stream.sources, stream.targets, stream.node_count,
-                        stream.directed)
+    n = stream.node_count
+    keys, edge_of_event = np.unique(stream._edge_codes(), return_inverse=True)
+    w = np.zeros(len(keys))
+    ties = Ties(*np.divmod(keys, n), w, n, stream.directed)
     t_prev: float | None = None
     for t_g, start, stop in groups:
         if t_g > upto or (t_prev is not None and t_g >= upto):
             break
         if t_prev is not None:
-            yield t_prev, t_g - t_prev, laplacian(w)
+            yield t_prev, t_g - t_prev, ties
             decay_to(w, alpha, t_g - t_prev)
-        apply_events(w, cells[start:stop])
+        apply_events(w, edge_of_event[start:stop])
         t_prev = t_g
     if t_prev is not None and upto > t_prev:
-        yield t_prev, upto - t_prev, laplacian(w)
+        yield t_prev, upto - t_prev, ties
+
+
+def intervals(stream: EventStream, alpha: float, upto: float | None = None
+              ) -> Iterator[tuple[float, float, np.ndarray]]:
+    """Yield ``(t_start, dt, L)`` for each interval of ``timeline``, with
+    ``L`` the dense N x N Laplacian of its ties, a fresh array each time."""
+    for t_start, dt, ties in timeline(stream, alpha, upto):
+        yield t_start, dt, laplacian(weight_matrix(ties))

@@ -22,7 +22,7 @@ from tiedyn.events import serialize_events
 from tiedyn.experiments import ExperimentConfig, run
 from tiedyn.propagator import evolve_opinions, interval_factor, propagate
 from tiedyn.spectral import SpectralError
-from tiedyn.tie_decay import intervals
+from tiedyn.tie_decay import intervals, timeline
 
 SRC = str(Path(tiedyn.__file__).parents[1])
 BENCH = str(Path(__file__).parents[1] / "bench")
@@ -43,21 +43,21 @@ def helper_on(monkeypatch):
     that ``propagate`` and ``evolve_opinions`` started and the live-block
     sizes built on each side, as (on the thread, size)."""
     served, built = [], []
-    walk, build = propagator.iter_factors, propagator._live_factor
+    walk, build = propagator.iter_factors, propagator._factors
 
     def recorded(stream, alpha, upto=None):
         served.append(alpha)
         return walk(stream, alpha, upto)
 
-    def recorded_build(L, c):
-        fac = build(L, c)
-        built.append((on_thread(), len(fac.idx)))
-        return fac
+    def recorded_build(blocks, n):
+        facs = build(blocks, n)
+        built.extend((on_thread(), len(idx)) for idx, _ in blocks)
+        return facs
 
     monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 0)
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
     monkeypatch.setattr(propagator, "iter_factors", recorded)
-    monkeypatch.setattr(propagator, "_live_factor", recorded_build)
+    monkeypatch.setattr(propagator, "_factors", recorded_build)
     return SimpleNamespace(served=served, built=built,
                            threaded=lambda: any(t for t, _ in built))
 
@@ -94,9 +94,13 @@ def upto_points(stream):
 
 
 def interval_of(stream, alpha):
-    """A map from an interval's Laplacian ``L`` to its index in interval order."""
-    laplacians = [L for _, _, L in intervals(stream, alpha)]
-    return lambda L: next(k for k, L_k in enumerate(laplacians) if np.array_equal(L, L_k))
+    """A map from an interval's generator block ``(idx, A)``, as the walk
+    hands it to ``propagator._factors``, to its index in interval order."""
+    blocks = []
+    for _, dt, ties in timeline(stream, alpha):
+        blocks.append(propagator._live_block(ties, propagator._decay_c(alpha, dt)))
+    return lambda idx, A: next(k for k, (idx_k, A_k) in enumerate(blocks)
+                               if np.array_equal(idx, idx_k) and np.array_equal(A, A_k))
 
 
 @pytest.mark.parametrize("min_live", [0, 3, 6])
@@ -135,13 +139,14 @@ def test_large_blocks_alternate_and_small_ones_stay(helper_on, monkeypatch,
     monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 6)
     stream = stream_of(STREAMS[0])
     sizes = [len(fac.idx) for fac in serial_factors(stream, 1.0)]
-    find, built, build = interval_of(stream, 1.0), {}, propagator._live_factor
+    find, built, build = interval_of(stream, 1.0), {}, propagator._factors
 
-    def recorded(L, c):
-        built[find(L)] = on_thread()
-        return build(L, c)
+    def recorded(blocks, n):
+        for idx, A in blocks:
+            built[find(idx, A)] = on_thread()
+        return build(blocks, n)
 
-    monkeypatch.setattr(propagator, "_live_factor", recorded)
+    monkeypatch.setattr(propagator, "_factors", recorded)
     propagate(stream, 1.0)
     assert sorted(built) == list(range(len(sizes)))
     expected = [k > 0 and not built[k - 1] and sizes[k - 1] >= 6
@@ -170,19 +175,21 @@ def test_evolve_opinions_with_the_thread_is_serial(helper_on, no_thread_left):
 
 
 def failing_factors(monkeypatch, stream, alpha, failures):
-    """Make ``_live_factor`` raise ``ArithmeticError("factor k failed")``
-    on interval k of ``failures`` (after ``failures[k]`` seconds), on
-    whichever thread builds it."""
-    find, build = interval_of(stream, alpha), propagator._live_factor
+    """Make ``_factors`` give ``ArithmeticError("factor k failed")`` for
+    interval k of ``failures`` (after ``failures[k]`` seconds), on
+    whichever thread builds it, alone or in a stack."""
+    find, build = interval_of(stream, alpha), propagator._factors
 
-    def failing(L, c):
-        k = find(L)
-        if k in failures:
-            time.sleep(failures[k])
-            raise ArithmeticError(f"factor {k} failed")
-        return build(L, c)
+    def failing(blocks, n):
+        facs = build(blocks, n)
+        for j, (idx, A) in enumerate(blocks):
+            k = find(idx, A)
+            if k in failures:
+                time.sleep(failures[k])
+                facs[j] = ArithmeticError(f"factor {k} failed")
+        return facs
 
-    monkeypatch.setattr(propagator, "_live_factor", failing)
+    monkeypatch.setattr(propagator, "_factors", failing)
 
 
 # With the threshold at 0 the factor thread builds the odd intervals.
@@ -214,18 +221,18 @@ def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
 
 def test_helper_is_stopped_when_the_product_fails(monkeypatch, helper_on, no_thread_left):
     # the thread is still building its first factor when M's product fails
-    build, slept = propagator._live_factor, []
+    build, slept = propagator._factors, []
 
-    def slow_on_thread(L, c):
+    def slow_on_thread(blocks, n):
         if on_thread():
             slept.append(1)
             time.sleep(0.5)
-        return build(L, c)
+        return build(blocks, n)
 
     def fails(fac, M):
         raise FloatingPointError("product failed")
 
-    monkeypatch.setattr(propagator, "_live_factor", slow_on_thread)
+    monkeypatch.setattr(propagator, "_factors", slow_on_thread)
     monkeypatch.setattr(propagator.IntervalFactor, "apply", fails)
     with pytest.raises(FloatingPointError, match="product failed"):
         propagate(stream_of(STREAMS[0]), 0.01)
@@ -264,15 +271,15 @@ def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
     # neither the workers' walks nor the pooled time series' walk in this
     # process build a factor on a thread
     log = tmp_path / "helpers.txt"
-    build = propagator._live_factor
+    build = propagator._factors
 
-    def logged(L, c):
+    def logged(blocks, n):
         if on_thread():
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-        return build(L, c)
+                fh.write(f"{os.getpid()}\n" * len(blocks))
+        return build(blocks, n)
 
-    monkeypatch.setattr(propagator, "_live_factor", logged)
+    monkeypatch.setattr(propagator, "_factors", logged)
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
     events = tmp_path / "events.txt"
@@ -305,9 +312,9 @@ def test_time_series_without_the_pool_is_serial(tmp_path, monkeypatch, no_thread
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 10**18)
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
     monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 0)
-    threaded, build = [], propagator._live_factor
-    monkeypatch.setattr(propagator, "_live_factor",
-                        lambda L, c: threaded.append(on_thread()) or build(L, c))
+    threaded, build = [], propagator._factors
+    monkeypatch.setattr(propagator, "_factors",
+                        lambda blocks, n: threaded.append(on_thread()) or build(blocks, n))
     assert series_records(tmp_path, "threaded.csv") == serial
     assert any(threaded)
 
@@ -359,14 +366,14 @@ import tiedyn.propagator as propagator
 propagator._THREAD_MIN_LIVE = 0
 propagator._cpus = lambda: 2
 served, on_thread = [], []
-walk, build = propagator.iter_factors, propagator._live_factor
+walk, build = propagator.iter_factors, propagator._factors
 propagator.iter_factors = lambda *args: served.append(1) or walk(*args)
 
 def recorded(*args):
     on_thread.append(threading.current_thread() is not threading.main_thread())
     return build(*args)
 
-propagator._live_factor = recorded
+propagator._factors = recorded
 
 def report():
     print(len(served), sum(on_thread) > 0, threading.active_count())
@@ -408,7 +415,7 @@ def test_cli_with_helper_writes_the_serial_csv(tmp_path, mode):
 # bench/trace.py keeps one stack of open spans per process, so a span the
 # thread opened would interleave with the main thread's. The main thread
 # builds its factors through the traced interval_factor, the thread through
-# the untraced _live_factor.
+# the untraced _factor.
 TRACED_WITH_HELPER = THREAD_ON + """
 import importlib.util, json
 sys.path.insert(0, sys.argv[1])
