@@ -49,6 +49,40 @@ _NEG_TOL = 1e-12
 # by more than rounding does.
 _DEAD_TIE = np.finfo(float).eps
 
+# _expm builds blocks of up to this many nodes, and every directed block,
+# with _taylor's GEMMs; larger symmetric blocks with syevd.
+# scripts/kernel_gate.py --rounds 9 (one CPU, one BLAS thread; median
+# microseconds per slow-decay block of N nodes, _taylor / _deflated_eigh):
+# N=16 113/84 (1.35x), 32 180/213 (0.84x), 48 286/469 (0.61x), 64 434/719
+# (0.60x), 80 613/1077 (0.57x), 96 1012/1491 (0.68x), 113 1678/1986
+# (0.84x), 128 2280/2530 (0.90x), 238 12436/8794 (1.41x); entries within
+# 8.6e-14 of each other. The same measurement at N = 104-144 gave 0.81-0.97x,
+# and 1.11-1.19x at 160-192. But 113 nodes gained nothing in a walk: one
+# propagate of a bench/gen.py StreamSpec(113, 1000, 2500, 500) stream at
+# alpha 0.01, medians of 5, took 1.02 s with syevd and 0.99 s with Taylor
+# on one CPU (faster in 2 of 5), and 0.76 against 0.90 s on two CPUs,
+# where the factor thread (_THREAD_MIN_LIVE) runs every other block.
+_GEMM_MAX = 96
+
+
+def _taylor_terms(m: int, p: int) -> tuple[int, float, np.ndarray]:
+    """The Paterson-Stockmeyer block p of the Taylor polynomial T_m, the
+    largest theta with theta^(m+1) / (m+1)! <= 2^-53, and the coefficients
+    K ((J+1) x (p+1), J = (m-1) // p) of T_m(X) = C_0 + X^p (C_1 + ... +
+    X^p C_J), C_j = sum_i K[j, i] X^i: K[j, i] = 1/(jp+i)!, where row J
+    runs to degree m."""
+    top = (m - 1) // p
+    K = np.zeros((top + 1, p + 1))
+    for k in range(m + 1):
+        j = min(k // p, top)
+        K[j, k - j * p] = 1.0 / math.factorial(k)
+    return p, (2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / (m + 1)), K
+
+
+# _taylor's Taylor degrees m, each of them with its _taylor_terms
+_TAYLOR = {m: _taylor_terms(m, p)
+           for m, p in ((4, 2), (6, 3), (8, 3), (12, 4), (16, 4))}
+
 # iter_factors sends an interval to its factor thread when it built the
 # interval before on its own thread with at least this many live nodes: while
 # live blocks stay this large, the intervals alternate between the threads.
@@ -63,11 +97,20 @@ _DEAD_TIE = np.finfo(float).eps
 # walk (bench/gen.py StreamSpec(N, 4N, 1600, 400), alpha 0.01, every block
 # of N nodes, 11 alternating runs): serial -> thread 42 -> 77 ms at N = 24
 # (faster in 0), 81 -> 101 at 32 (3), 120 -> 115 at 40 (5), 220 -> 176 at
-# 48 (10) and 245 -> 204 at 64 (10).
-_THREAD_MIN_LIVE = 48
+# 48 (10) and 245 -> 204 at 64 (10). With _taylor below _GEMM_MAX the
+# thread lost at every size up to the gate, and still paid above it
+# (StreamSpec(N, 4N, max(1600, 4N), 400), alpha 0.01, 7 alternating walks,
+# no thread -> thread from 48 nodes): 0.157 -> 0.342 s at N = 48 (faster
+# in 0), 0.271 -> 0.386 at 64 (0), 0.307 -> 0.434 at 80 (0), 0.516 ->
+# 0.537 at 96 (2), 0.755 -> 0.620 at 104 (7) and 0.730 -> 0.662 at 113
+# (6). Directed walks, on _taylor at every size, gained from the thread
+# above the gate too: 0.683 -> 0.609 s at N = 113 and 1.383 -> 1.226 at
+# 160 (faster in 7 of 7 each). Below it the kernel's many short calls,
+# each taking the GIL back, leave the two threads waiting on each other.
+_THREAD_MIN_LIVE = _GEMM_MAX + 1
 
-# iter_factors builds blocks of up to _STACK_MAX live nodes of an undirected
-# stream in stacks, one per size, over windows of _STACK intervals. One CPU,
+# iter_factors builds blocks of up to _STACK_MAX live nodes in stacks, one
+# per size and _taylor_order, over windows of _STACK intervals. One CPU,
 # one BLAS thread, medians of 5-7 walks of bench/gen.py streams (the
 # sweep-fast-decay input at alphas 1 and 100, StreamSpec(113, 2196, 4000,
 # 1441) at alphas 100, 1, 0.1 and 0.01, the ensemble-slow-decay input at
@@ -76,6 +119,14 @@ _THREAD_MIN_LIVE = 48
 # faster anywhere by more than the noise, and 32 and 48 were slower at
 # 0.01. Windows of 16, 32, 64, 128 and 256 intervals: 64 -> 128 took
 # 0.88-1.00x, 128 -> 256 another 0.91-0.97x on the fast-decay walks.
+# Measured again with _taylor, in process on 2 vCPUs, medians of 5 walks of
+# the same inputs (and the timeseries input at alpha 1) against a gate of
+# 24: no stacking took 0.96-1.66x, a gate of 8 0.93-1.67x, 16 0.95-1.32x,
+# and gates of 32, 48 and 64 0.98-1.06x, so 24 stays. Windows against 128,
+# medians of 11 walks: 256 took 0.90, 0.99, 0.93, 0.94, 1.08 and 1.03x,
+# so 128 stays too. _STACK_MAX must stay at most _GEMM_MAX: every stack
+# then goes to _taylor, which raises no LinAlgError, and _factors' block by
+# block retry of a failed stack solve runs only when a test lowers the gate.
 _STACK_MAX = 24
 _STACK = 128
 
@@ -186,22 +237,89 @@ def _expm(A: np.ndarray) -> np.ndarray:
     """exp(A) for a generator A, or for each of a stack of them
     (m x n x n): off-diagonals >= 0, columns summing to 0.
 
-    Symmetric A: the Householder reflector H = I - beta v v^T with
-    v = 1/sqrt(n) + e1, which maps 1/sqrt(n) to -e1, deflates the null
-    vector: B = H A H has zero first row and column. ``eigh`` runs on the
-    trailing block, B22 = V Lambda V^T, and exp(A) = Z Z^T with
-    Z = H diag(1, V e^{Lambda/2}). Its columns sum to 1 to rounding of
-    order eps, whatever the norm of A. ``eigh_lo``, ``exp`` and ``matmul``
-    broadcast, and each block of a stack comes out bit for bit as it
-    would alone.
+    Blocks of up to ``_GEMM_MAX`` nodes, and directed blocks of any size,
+    go to the GEMM-only kernel ``_taylor``; larger symmetric blocks to
+    ``_deflated_eigh``. Both broadcast, and each block of a stack comes
+    out bit for bit as it would alone (for ``_taylor``, in a stack of one
+    ``_taylor_order``).
+    """
+    if A.shape[-1] <= _GEMM_MAX or not (A == A.swapaxes(-1, -2)).all():
+        return _taylor(A)
+    return _deflated_eigh(A)
 
-    Other A: ``scipy.linalg.expm``, whose column sums drift from 1 by
-    about eps * ||A||. Only this branch imports scipy.
+
+def _shift(A: np.ndarray) -> np.ndarray:
+    """mu = max_j(-A_jj) of a generator block, or of each block of a stack."""
+    return -A.diagonal(0, -2, -1).min(axis=-1, initial=0.0)
+
+
+def _taylor_order(mu: float) -> tuple[int, int]:
+    """The Taylor degree m and the squarings s that ``_taylor`` takes for a
+    shift ``mu``: the fewest matrix products with mu / 2^s < theta_m, and
+    of those the fewest squarings. Each degree costs one product more than
+    the one below it, and its theta is more than twice as large, so that is
+    the lowest degree with mu < theta_m, or else degree 16 and the fewest
+    squarings."""
+    for m, (_, theta, _) in _TAYLOR.items():
+        if mu < theta:
+            return m, 0
+    return m, math.frexp(mu / theta)[1]  # the highest degree, 16
+
+
+def _taylor(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a generator block or stack, from GEMMs only.
+
+    With mu = max_j(-A_jj), B = A + mu I >= 0 entrywise and ||B||_1 = mu,
+    since the columns of A sum to 0. P = e^{-mu/2^s} T_m(B/2^s), the
+    Taylor polynomial summed by Paterson-Stockmeyer (``_taylor_terms``), is
+    then squared s times, each column divided by its sum before each
+    squaring (Xue & Ye, Math. Comp. 82, 2013; scaling and squaring after
+    Al-Mohy & Higham, SIMAX 31, 2009). Every term is non-negative, so
+    nothing cancels, columns sum to 1 to rounding whatever the norm of A,
+    and exact zeros stay zero: an acyclic directed factor stays triangular.
+    The last squaring is not renormalized, so the column-sum check of
+    ``_failures`` still tests the result. A stack takes the
+    ``_taylor_order`` of its largest mu. Every step is a ``matmul``, an
+    elementwise operation or a column sum, so each block of a stack of one
+    order comes out bit for bit as it would alone.
+    """
+    mu = _shift(A)
+    m, s = _taylor_order(mu.max(initial=0.0))
+    p, _, K = _TAYLOR[m]
+    n = A.shape[-1]
+    # X^0..X^p of X = B / 2^s, C-ordered so that a flat stride of n + 1
+    # walks each diagonal (A itself may be an F-ordered view)
+    X = np.zeros((*A.shape[:-2], p + 1, n, n))
+    flat = X.reshape(*X.shape[:-2], n * n)
+    flat[..., 0, ::n + 1] = 1.0
+    np.multiply(A, 2.0 ** -s, out=X[..., 1, :, :])
+    flat[..., 1, ::n + 1] += np.ldexp(mu, -s)[..., None]
+    for k in range(2, p + 1):
+        np.matmul(X[..., k - 1, :, :], X[..., 1, :, :], out=X[..., k, :, :])
+    C = (K @ flat).reshape(*X.shape[:-3], len(K), n, n)
+    P = C[..., -1, :, :]
+    for j in range(len(K) - 2, -1, -1):
+        P = np.add(C[..., j, :, :], X[..., p, :, :] @ P)
+    if not s:  # otherwise the first renormalization cancels e^{-mu/2^s}
+        P *= np.exp(-mu)[..., None, None]
+    for _ in range(s):
+        P /= np.add.reduce(P, axis=-2, keepdims=True)
+        P = P @ P
+    return P
+
+
+def _deflated_eigh(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a symmetric generator block or stack, from ``syevd``.
+
+    The Householder reflector H = I - beta v v^T with v = 1/sqrt(n) + e1,
+    which maps 1/sqrt(n) to -e1, deflates the null vector: B = H A H has
+    zero first row and column. ``eigh`` runs on the trailing block,
+    B22 = V Lambda V^T, and exp(A) = Z Z^T with Z = H diag(1, V
+    e^{Lambda/2}). Its columns sum to 1 to rounding of order eps, whatever
+    the norm of A. ``eigh_lo``, ``exp`` and ``matmul`` broadcast, and each
+    block of a stack comes out bit for bit as it would alone.
     """
     n = A.shape[-1]
-    if not (A == A.swapaxes(-1, -2)).all():
-        import scipy.linalg
-        return scipy.linalg.expm(A)
     r = 1.0 / math.sqrt(n)
     beta = 1.0 / (1.0 + r)  # 2 / (v @ v)
     # rows and columns sum to 0, so A v = A[:, 0] and v^T A v = A[0, 0]:
@@ -335,14 +453,14 @@ def _move_off(cpu: int | None) -> None:
 
 def _stacked(blocks: list[tuple[np.ndarray, np.ndarray]], node_count: int
              ) -> Iterator[IntervalFactor]:
-    """Yield the factors of ``blocks`` in order, the blocks of each size
-    built as one stack (``_factors``); the first error in that order is
-    raised in its place, after the factors before it."""
-    sizes: dict[int, list[int]] = {}
-    for k, (idx, _) in enumerate(blocks):
-        sizes.setdefault(len(idx), []).append(k)
+    """Yield the factors of ``blocks`` in order, the blocks of each size and
+    ``_taylor_order`` built as one stack (``_factors``); the first error in
+    that order is raised in its place, after the factors before it."""
+    groups: dict[tuple, list[int]] = {}
+    for k, (idx, A) in enumerate(blocks):
+        groups.setdefault((len(idx), _taylor_order(_shift(A))), []).append(k)
     built = [None] * len(blocks)
-    for ks in sizes.values():
+    for ks in groups.values():
         for k, fac in zip(ks, _factors([blocks[k] for k in ks], node_count)):
             built[k] = fac
     for fac in built:
@@ -360,11 +478,11 @@ def iter_factors(stream: EventStream, alpha: float,
     here from its live ties. With a CPU to spare (``_cpus``, and no pool
     of ``experiments._map_tasks`` running), an interval goes to a factor
     thread when the interval before it was built here with at least
-    ``_THREAD_MIN_LIVE`` live nodes. Of the others, on an undirected
-    stream, an interval whose predecessor was built here with at most
-    ``_STACK_MAX`` live nodes is held, up to ``_STACK`` intervals, and the
-    held ones are built in stacks (``_stacked``); the rest are built one
-    at a time with ``interval_factor``, after the held ones. Both rules
+    ``_THREAD_MIN_LIVE`` live nodes. Of the others, an interval whose
+    predecessor was built here with at most ``_STACK_MAX`` live nodes is
+    held, up to ``_STACK`` intervals, and the held ones are built in
+    stacks (``_stacked``); the rest are built one at a time with
+    ``interval_factor``, after the held ones. Both rules
     read the size of the interval before, as live blocks change slowly,
     so an interval after the thread's is built alone. The thread starts with
     its first interval and moves off this thread's CPU once. Factors come
@@ -392,7 +510,7 @@ def iter_factors(stream: EventStream, alpha: float,
                 # the block is built here: laplacian is traced (bench/trace.py)
                 yield thread.submit(_factor, *_live_block(ties, _decay_c(alpha, dt)), n)
                 live = -1
-            elif 0 <= live <= _STACK_MAX and not stream.directed:
+            elif 0 <= live <= _STACK_MAX:
                 held.append(_live_block(ties, _decay_c(alpha, dt)))
                 live = len(held[-1][0])
                 if len(held) == _STACK:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import tiedyn.propagator as propagator
 from tiedyn.events import EventStream
+from tiedyn.tie_decay import laplacian
 
 
 def stream_from_rows(rows, node_count, labels=None, directed=False):
@@ -13,6 +17,27 @@ def stream_from_rows(rows, node_count, labels=None, directed=False):
     if labels is None:
         labels = tuple(map(str, range(node_count)))
     return EventStream(times, sources, targets, node_count, labels, directed)
+
+
+def heavy_edge_laplacian(seed, scale=1e8, n=None, directed=False):
+    """A Laplacian L with one heavy tie, and c = expm1(-alpha dt) / alpha
+    for alpha 0.001 and dt 1000 (``interval_factor(L, 1000.0, 0.001)``),
+    where |c| times the heavy weight is ``scale``. Random ties of the upper
+    triangle, on ``n`` nodes (3 to 8 drawn by default), are mirrored, or
+    with ``directed`` get random lower-triangular ties in place of their
+    transpose."""
+    rng = np.random.default_rng(seed)
+    if n is None:
+        n = int(rng.integers(3, 9))
+    W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.6), 1)
+    i, j = sorted(rng.choice(n, size=2, replace=False))
+    c = math.expm1(-0.001 * 1000.0) / 0.001
+    W[i, j] = scale / abs(c)
+    if directed:
+        W += np.tril(rng.random((n, n)) * (rng.random((n, n)) < 0.6), -1)
+    else:
+        W += W.T
+    return laplacian(W), c
 
 
 def make_random_stream(seed, n_max=6, max_events=30, directed=False):
@@ -54,6 +79,22 @@ def streams(draw):
                              for t, (i, j) in zip(times, pairs)),
                             len(index), tuple(names[k] for k in order),
                             draw(st.booleans()))
+
+
+@pytest.fixture
+def syevd(monkeypatch):
+    """Lower the GEMM gate to one node, so that every symmetric block of two
+    or more nodes goes to the syevd kernel; return the list of the shapes
+    of the blocks (or stacks) that reach ``_deflated_eigh``."""
+    calls, original = [], propagator._deflated_eigh
+
+    def counted(A):
+        calls.append(A.shape)
+        return original(A)
+
+    monkeypatch.setattr(propagator, "_GEMM_MAX", 1)
+    monkeypatch.setattr(propagator, "_deflated_eigh", counted)
+    return calls
 
 
 @pytest.fixture

@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 import tiedyn.propagator as propagator
 from tiedyn.events import EventStream, group_event_times, parse_events
 from tiedyn.experiments import ExperimentConfig, run_time_series
-from tiedyn.propagator import (IntervalFactor, _expm, evolve_opinions,
-                               interval_factor, iter_factors, propagate)
+from tiedyn.propagator import (IntervalFactor, _deflated_eigh, _expm, _taylor,
+                               evolve_opinions, interval_factor, iter_factors,
+                               propagate)
 from tiedyn.spectral import DegenerateFiedlerError, shrinkage_ratio, spectral_gap
 from tiedyn.tie_decay import intervals, laplacian
 
-from conftest import make_random_stream
+from conftest import heavy_edge_laplacian, make_random_stream
 
 ALPHAS = np.geomspace(1e-3, 1e3, 7)
 TOL = 1e-12
@@ -64,9 +65,7 @@ def crossing_stream():
     return parse_events("\n".join(lines))
 
 
-@pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("seed", range(6))
-def test_factors_match_dense_expm(seed, directed):
+def check_factors_match_dense_expm(seed, directed):
     for stream in (make_random_stream(seed, directed=directed),
                    sparse_stream(seed, directed=directed)):
         for alpha in ALPHAS:
@@ -75,6 +74,19 @@ def test_factors_match_dense_expm(seed, directed):
             assert len(facs) == len(refs)
             for fac, ref in zip(facs, refs):
                 assert np.max(np.abs(fac.matrix - ref)) < TOL
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_factors_match_dense_expm(seed, directed):
+    check_factors_match_dense_expm(seed, directed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factors_match_dense_expm_on_syevd(seed, syevd):
+    # directed blocks take _taylor at every size
+    check_factors_match_dense_expm(seed, False)
+    assert syevd
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -189,7 +201,8 @@ def test_one_expm_call_per_factor(monkeypatch):
 
 def test_eigh_gufunc_is_numpy_eigh_lower(monkeypatch):
     # _expm calls numpy's private gufunc, not np.linalg.eigh: a numpy
-    # release that changes what it computes must fail here
+    # release that changes what it computes must fail here. With the gate
+    # at 1 node, every block is above it and goes to syevd.
     original = propagator.eigh_lo
     blocks = []
 
@@ -197,6 +210,7 @@ def test_eigh_gufunc_is_numpy_eigh_lower(monkeypatch):
         blocks.append(B.copy())
         return original(B, signature=signature)
 
+    monkeypatch.setattr(propagator, "_GEMM_MAX", 1)
     monkeypatch.setattr(propagator, "eigh_lo", recorded)
     for stream in (sparse_stream(0), make_random_stream(3, n_max=9)):
         list(iter_factors(stream, 1.0))
@@ -209,7 +223,9 @@ def test_eigh_gufunc_is_numpy_eigh_lower(monkeypatch):
 
 
 def test_eigh_fallback_gives_the_same_factors(monkeypatch):
-    # np.linalg.eigh(B, UPLO="L") runs the same syevd: bit-identical blocks
+    # np.linalg.eigh(B, UPLO="L") runs the same syevd: bit-identical blocks,
+    # with every block above the gate
+    monkeypatch.setattr(propagator, "_GEMM_MAX", 1)
     streams = (sparse_stream(0), make_random_stream(3, n_max=9))
     expected = [fac.block for s in streams for fac in iter_factors(s, 1.0)]
     monkeypatch.setattr(propagator, "eigh_lo", propagator._eigh_lower)
@@ -230,7 +246,7 @@ def test_eigh_fallback_is_taken_without_the_gufunc(monkeypatch):
         m.delattr(umath_linalg, "eigh_lo")
         spec.loader.exec_module(probe)
     assert probe.eigh_lo is probe._eigh_lower
-    L, c = heavy_edge_laplacian(0, scale=10.0)
+    L, c = heavy_edge_laplacian(0, scale=10.0, n=propagator._GEMM_MAX + 1)
     A = c * L.T
     assert np.array_equal(probe._expm(A.copy()), propagator._expm(A.copy()))
 
@@ -244,7 +260,7 @@ def test_eigh_fallback_returns_nan_when_syevd_fails(monkeypatch):
     assert vals.shape == (3,) and vecs.shape == (3, 3)
     assert np.isnan(vals).all() and np.isnan(vecs).all()
     monkeypatch.setattr(propagator, "eigh_lo", propagator._eigh_lower)
-    L, c = heavy_edge_laplacian(0, scale=10.0)
+    L, c = heavy_edge_laplacian(0, scale=10.0, n=propagator._GEMM_MAX + 1)
     with pytest.raises(np.linalg.LinAlgError, match="syevd did not converge"):
         _expm(c * L.T)
 
@@ -264,30 +280,54 @@ def test_apply_matches_dense_product(stream):
 
 
 # ---------------------------------------------------------------------------
-# large |c| L: the deflated symmetric kernel keeps columns summing to 1
+# large |c| L: both kernels keep columns summing to 1 (the syevd fixture
+# sends symmetric blocks to _deflated_eigh), and the 50-digit oracle of
+# tests/test_taylor_kernel.py holds for both
 
 
-def heavy_edge_laplacian(seed, scale=1e8):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 9))
-    W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.6), 1)
-    i, j = sorted(rng.choice(n, size=2, replace=False))
-    c = math.expm1(-0.001 * 1000.0) / 0.001
-    W[i, j] = scale / abs(c)
-    return laplacian(W + W.T), c
+def check_heavy_edge_factor(L, c):
+    Y = interval_factor(L, 1000.0, 0.001).matrix
+    assert np.max(np.abs(Y.sum(axis=0) - 1.0)) <= 1e-15
+    assert np.min(Y) >= 0.0
+    # scipy is accurate to about eps * ||c L|| ~ 1e-8 here
+    assert np.max(np.abs(Y - scipy.linalg.expm(c * L.T))) < 1e-7
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_heavy_edge_factor_column_sums(seed):
-    L, c = heavy_edge_laplacian(seed)
-    Y = interval_factor(L, 1000.0, 0.001).matrix
-    assert np.max(np.abs(Y.sum(axis=0) - 1.0)) <= 1e-15
-    assert np.min(Y) >= 0.0
-    # both are accurate to about eps * ||c L|| ~ 1e-8 here
-    assert np.max(np.abs(Y - scipy.linalg.expm(c * L.T))) < 1e-7
+    check_heavy_edge_factor(*heavy_edge_laplacian(seed))
 
 
-def test_heavy_component_is_exact_average():
+@pytest.mark.parametrize("seed", range(40))
+def test_heavy_edge_factor_column_sums_on_syevd(seed, syevd):
+    check_heavy_edge_factor(*heavy_edge_laplacian(seed))
+    assert syevd
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_heavy_directed_factor_column_sums(seed):
+    check_heavy_edge_factor(*heavy_edge_laplacian(seed, directed=True))
+
+
+@pytest.mark.parametrize("n", [propagator._GEMM_MAX + 1, 160, 238])
+@pytest.mark.parametrize("norm", [1e-3, 1e-1, 10.0, 1e3, 1e5])
+def test_kernels_agree_above_the_gate(n, norm):
+    # the symmetric blocks that stay on syevd: it, _taylor and scipy agree,
+    # and its columns sum to 1
+    rng = np.random.default_rng(n)
+    W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.1), 1)
+    W += W.T
+    W *= norm / (2 * W.sum(axis=1).max())
+    A = -laplacian(W).T
+    Y = _deflated_eigh(A)
+    assert np.array_equal(_expm(A), Y)
+    assert np.max(np.abs(Y - _taylor(A))) < 1e-13
+    assert np.max(np.abs(Y - scipy.linalg.expm(A))) < 1e-13
+    assert np.max(np.abs(Y.sum(axis=0) - 1.0)) < 1e-14
+    assert np.min(Y) >= -1e-15
+
+
+def check_heavy_component_is_exact_average():
     pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
     c = math.expm1(-1.0) / 0.001
     # the heavy pair as the only live tie
@@ -305,6 +345,15 @@ def test_heavy_component_is_exact_average():
     assert np.max(np.abs(Y[:2, 2:4])) < bound
     assert np.array_equal(Y[4:, 4:], np.eye(6))
     assert np.array_equal(Y[:4, 4:], np.zeros((4, 6)))
+
+
+def test_heavy_component_is_exact_average():
+    check_heavy_component_is_exact_average()
+
+
+def test_heavy_component_is_exact_average_on_syevd(syevd):
+    check_heavy_component_is_exact_average()
+    assert len(syevd) == 2
 
 
 def test_acyclic_directed_factor_stays_triangular():
@@ -366,7 +415,7 @@ def test_no_live_tie_is_identity(dt):
 
 
 # ---------------------------------------------------------------------------
-# property test: live-block and deflated factors agree with dense expm
+# property test: live-block factors and both kernels agree with dense expm
 
 
 @st.composite
@@ -389,10 +438,14 @@ def small_laplacians(draw):
        dt=st.floats(0.0, 20.0))
 def test_blocked_dense_deflated_agree(L, alpha, dt):
     c = math.expm1(-alpha * dt) / alpha
+    A = c * L.T
     live = interval_factor(L, dt, alpha).matrix
-    deflated = _expm(c * L.T)  # one Householder block over all N nodes
-    reference = scipy.linalg.expm(c * L.T)
-    for Y in (live, deflated):
+    # each kernel on one block over all N nodes; syevd on symmetric ones
+    kernels = [_taylor(A)]
+    if (A == A.T).all():
+        kernels.append(_deflated_eigh(A))
+    reference = scipy.linalg.expm(A)
+    for Y in (live, *kernels):
         assert np.max(np.abs(Y - reference)) < TOL
         assert np.min(Y) >= -TOL
         assert np.max(np.abs(Y.sum(axis=0) - 1.0)) < TOL

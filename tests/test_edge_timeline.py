@@ -3,12 +3,13 @@
 The reference is the dense N x N walk: the whole weight matrix decayed
 and bumped per event time, a fresh dense Laplacian per interval, and the
 live block cut out of the masked N x N generator ``c L^T``. It is kept
-here as an oracle, with its own copy of the deflated ``expm``. ``M`` of
-``propagate``, ``x0 @ M`` of ``evolve_opinions`` and every time-series
-snapshot must equal it exactly (``np.array_equal``), on small random
-streams and on the four seed-101 inputs of ``bench/gen.py``. The stacked
-kernel must give each block of a stack as it gives the block alone, and
-a failing block of a stack must raise in interval order.
+here as an oracle, and exponentiates each block alone through the
+kernels' dispatch ``propagator._expm``. ``M`` of ``propagate``, ``x0 @
+M`` of ``evolve_opinions`` and every time-series snapshot must equal it
+exactly (``np.array_equal``), on small random streams and on the four
+seed-101 inputs of ``bench/gen.py``. The stacked kernel must give each
+block of a stack as it gives the block alone, and a failing block of a
+stack must raise in interval order.
 """
 
 import hashlib
@@ -69,24 +70,8 @@ def dense_laplacian(w):
 
 
 def dense_expm(A):
-    """The deflated symmetric kernel on one block, or scipy's expm."""
-    n = A.shape[0]
-    if not (A == A.T).all():
-        import scipy.linalg
-        return scipy.linalg.expm(A)
-    r = 1.0 / math.sqrt(n)
-    beta = 1.0 / (1.0 + r)
-    y = (beta * r) * A[1:, 0] - 0.5 * (beta * r) ** 2 * A[0, 0]
-    B = A[1:, 1:] - y[:, None]
-    B -= y
-    vals, vecs = np.linalg.eigh(B, UPLO="L")
-    W = vecs * np.exp(0.5 * vals)
-    colsum = W.sum(axis=0)
-    Z = np.empty_like(A)
-    Z[:, 0] = r
-    Z[0, 1:] = -r * colsum
-    np.subtract(W, (beta * r * r) * colsum, out=Z[1:, 1:])
-    return Z @ Z.T
+    """exp(A) of one generator block, never in a stack."""
+    return propagator._expm(A)
 
 
 def dense_factor(L, dt, alpha):
@@ -254,26 +239,49 @@ def random_generators(rng, k, m):
     return blocks
 
 
-@pytest.mark.parametrize("k", range(2, 49))
+def taylor_orders(blocks):
+    """``blocks`` grouped by the ``_taylor_order`` that each takes alone."""
+    groups = {}
+    for A in blocks:
+        order = propagator._taylor_order(propagator._shift(A))
+        groups.setdefault(order, []).append(A)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("k", range(2, propagator._GEMM_MAX + 1))
 def test_stacked_expm_is_each_block_alone(k):
     rng = np.random.default_rng(k)
-    blocks = random_generators(rng, k, 5)
-    stacked = propagator._expm(np.stack(blocks))
+    groups = taylor_orders(random_generators(rng, k, 15))
+    assert max(map(len, groups)) > 1
+    for group in groups:
+        stacked = propagator._expm(np.stack(group))
+        assert stacked.shape == (len(group), k, k)
+        for A, Y in zip(group, stacked):
+            assert np.array_equal(Y, propagator._expm(A))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 24, 48, 97, 120])
+def test_stacked_syevd_is_each_block_alone(k):
+    blocks = random_generators(np.random.default_rng(k), k, 5)
+    stacked = propagator._deflated_eigh(np.stack(blocks))
     assert stacked.shape == (5, k, k)
     for A, Y in zip(blocks, stacked):
-        assert np.array_equal(Y, propagator._expm(A))
-        assert np.array_equal(Y, dense_expm(A))
+        assert np.array_equal(Y, propagator._deflated_eigh(A))
 
 
-def test_stacked_factors_are_each_block_alone():
+def test_stacked_factors_are_each_block_alone(monkeypatch):
+    # _stacked groups the blocks of one size by _taylor_order
+    stacks = []
+    original = propagator._factors
+    monkeypatch.setattr(propagator, "_factors",
+                        lambda blocks, n: stacks.append(len(blocks)) or original(blocks, n))
     blocks = [(np.arange(k), A) for k in (3, 7) for A in
-              random_generators(np.random.default_rng(k), k, 4)]
-    for k in (3, 7):
-        group = [b for b in blocks if len(b[0]) == k]
-        for fac, block in zip(propagator._factors(group, 9), group):
-            alone = propagator._factor(*block, 9)
-            assert np.array_equal(fac.block, alone.block)
-            assert np.array_equal(fac.idx, alone.idx)
+              random_generators(np.random.default_rng(k), k, 12)]
+    for fac, block in zip(propagator._stacked(blocks, 9), blocks, strict=True):
+        alone = propagator._factor(*block, 9)
+        assert np.array_equal(fac.block, alone.block)
+        assert np.array_equal(fac.idx, alone.idx)
+    assert max(stacks) > 1
 
 
 def stacked_walk(monkeypatch):
@@ -303,6 +311,8 @@ def walk_until_error(stream, error, match):
 
 @pytest.mark.parametrize("failing", [5, 70])
 def test_stack_raises_a_failed_solve_in_interval_order(monkeypatch, failing):
+    # every block above the gate: the stacks go to syevd
+    monkeypatch.setattr(propagator, "_GEMM_MAX", 1)
     stream, blocks = stacked_walk(monkeypatch)
     expected = list(iter_factors(stream, 1.0))
     # the trailing block that the kernel's eigh_lo solves for interval `failing`
@@ -334,7 +344,7 @@ def test_stack_raises_a_failed_solve_in_interval_order(monkeypatch, failing):
 def test_stack_raises_a_failed_check_in_interval_order(monkeypatch, failing):
     stream, blocks = stacked_walk(monkeypatch)
     expected = list(iter_factors(stream, 1.0))
-    target, original, stacks = blocks[failing][1], propagator._expm, []
+    target, original, stacks = blocks[failing][1], propagator._taylor, []
 
     def drifting(A):
         Y = original(A)
@@ -344,7 +354,7 @@ def test_stack_raises_a_failed_check_in_interval_order(monkeypatch, failing):
                 stacks.append(len(A) if A.ndim == 3 else 1)
         return Y
 
-    monkeypatch.setattr(propagator, "_expm", drifting)
+    monkeypatch.setattr(propagator, "_taylor", drifting)
     got = walk_until_error(stream, ValueError, "columns do not sum to 1")
     assert stacks and min(stacks) > 1  # found in its stack, not alone
     assert len(got) == failing
@@ -354,7 +364,7 @@ def test_stack_raises_a_failed_check_in_interval_order(monkeypatch, failing):
 
 def test_stack_keeps_the_sign_check(monkeypatch):
     stream, blocks = stacked_walk(monkeypatch)
-    target, original = blocks[9][1], propagator._expm
+    target, original = blocks[9][1], propagator._taylor
 
     def nan_block(A):
         Y = original(A)
@@ -363,5 +373,5 @@ def test_stack_keeps_the_sign_check(monkeypatch):
                 Y.reshape(-1, *Y.shape[-2:])[j, 0, 0] = np.nan
         return Y
 
-    monkeypatch.setattr(propagator, "_expm", nan_block)
+    monkeypatch.setattr(propagator, "_taylor", nan_block)
     assert len(walk_until_error(stream, ValueError, "has entry nan")) == 9

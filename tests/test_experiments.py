@@ -516,21 +516,21 @@ modes = {
     "aggregate-compare": ["--alpha", "0.1,1"],
     "ensemble": ["--alpha", "1", "--method", "all", "--ensemble", "2"],
 }
-for mode, args in modes.items():
-    if main(["--input", events, "--mode", mode, *args, "--out", out]) != 0:
-        sys.exit(f"{mode} failed")
-    if "scipy" in sys.modules:
-        loaded.append(mode)
+for directed in ([], ["--directed"]):
+    for mode, args in modes.items():
+        if main(["--input", events, "--mode", mode, *args, *directed, "--out", out]) != 0:
+            sys.exit(f"{mode} {directed} failed")
+        if "scipy" in sys.modules:
+            loaded.append(f"{mode} {directed}")
 if loaded:
     sys.exit("scipy loaded after " + ", ".join(loaded))
-sys.exit(main(["--input", events, "--mode", "time-series", "--alpha", "1",
-               "--directed", "--out", out]))
 """
 
 
-def test_undirected_runs_never_import_scipy(tmp_path):
-    # scipy is imported only for directed blocks, so only a fresh process
-    # can show it; the triangle's time series computes a shrinkage ratio
+def test_cli_runs_never_import_scipy(tmp_path):
+    # scipy is only a reference of the tests, so only a fresh process can
+    # show that no run loads it, directed or not; the triangle's time
+    # series computes a shrinkage ratio
     inp = tmp_path / "events.txt"
     inp.write_text(TRIANGLE)
     env = dict(os.environ, PYTHONPATH=str(Path(tiedyn.__file__).parents[1]))

@@ -321,10 +321,10 @@ if cpus:
         sys.exit("time series failed")
     loaded("a time series on one CPU")
     os.sched_setaffinity(0, cpus)
-# live blocks of 64 nodes, which the factor thread shares with two CPUs
+# live blocks of 100 nodes, which the factor thread shares with two CPUs
 dense = out + ".dense.txt"
 with open(dense, "w") as fh:
-    fh.writelines(f"{t} n{i} n{i + 1}\\n" for t in range(6) for i in range(63))
+    fh.writelines(f"{t} n{i} n{i + 1}\\n" for t in range(6) for i in range(99))
 if main(["--input", dense, "--mode", "aggregate-compare", "--alpha", "0.01", "--out", out]):
     sys.exit("aggregate comparison failed")
 POOL = ("multiprocessing",)
