@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .events import EventStream
-from .propagator import _tie_factor
+from .propagator import _factor, _live_block
 from .tie_decay import dense_ties
 
 
@@ -45,4 +45,4 @@ def aggregate_propagator(weights: np.ndarray, t: float) -> np.ndarray:
     built and checked as an interval factor is."""
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    return _tie_factor(dense_ties(weights), -t).matrix
+    return _factor(*_live_block(dense_ties(weights), -t), len(weights)).matrix

@@ -61,7 +61,31 @@ _DEAD_TIE = np.finfo(float).eps
 # propagate of a bench/gen.py StreamSpec(113, 1000, 2500, 500) stream at
 # alpha 0.01, medians of 5, took 1.02 s with syevd and 0.99 s with Taylor
 # on one CPU (faster in 2 of 5), and 0.76 against 0.90 s on two CPUs,
-# where the factor thread (_THREAD_MIN_LIVE) runs every other block.
+# where the factor thread runs every other block (iter_factors).
+#
+# iter_factors also builds the blocks above the gate on its thread and its
+# factor thread in turn, with a CPU to spare. The factor thread's syevd and
+# GEMMs release the GIL, but a small block spends most of its time in numpy
+# calls that hold it. On 2 vCPUs with one BLAS thread, in
+# process, 11 alternating runs of bench/gen.py streams of 399 steps at alpha
+# 0.01, with every other block sent to the thread: median walk 0.070 ->
+# 0.108 s with live blocks of 32 nodes (slower in all 11), 0.110 -> 0.103 s
+# at 40 (faster in 6) and 0.148 -> 0.136 s at 48 (faster in 8). At 238 nodes
+# (bench/run.py's aggregate-large input) it took 0.74x the serial time,
+# median of 7. Measured again with the edge-list walk (bench/gen.py
+# StreamSpec(N, 4N, 1600, 400), alpha 0.01, every block of N nodes, 11
+# alternating runs): serial -> thread 42 -> 77 ms at N = 24 (faster in 0),
+# 81 -> 101 at 32 (3), 120 -> 115 at 40 (5), 220 -> 176 at 48 (10) and 245
+# -> 204 at 64 (10). With _taylor below _GEMM_MAX the thread lost at every
+# size up to the gate, and still paid above it (StreamSpec(N, 4N, max(1600,
+# 4N), 400), alpha 0.01, 7 alternating walks, no thread -> thread from 48
+# nodes): 0.157 -> 0.342 s at N = 48 (faster in 0), 0.271 -> 0.386 at 64
+# (0), 0.307 -> 0.434 at 80 (0), 0.516 -> 0.537 at 96 (2), 0.755 -> 0.620 at
+# 104 (7) and 0.730 -> 0.662 at 113 (6). Directed walks, on _taylor at every
+# size, gained from the thread above the gate too: 0.683 -> 0.609 s at N =
+# 113 and 1.383 -> 1.226 at 160 (faster in 7 of 7 each). Below it the
+# kernel's many short calls, each taking the GIL back, leave the two threads
+# waiting on each other.
 _GEMM_MAX = 96
 
 
@@ -83,32 +107,6 @@ def _taylor_terms(m: int, p: int) -> tuple[int, float, np.ndarray]:
 _TAYLOR = {m: _taylor_terms(m, p)
            for m, p in ((4, 2), (6, 3), (8, 3), (12, 4), (16, 4))}
 
-# iter_factors sends an interval to its factor thread when it built the
-# interval before on its own thread with at least this many live nodes: while
-# live blocks stay this large, the intervals alternate between the threads.
-# The factor thread's syevd and GEMMs release the GIL, but a small block
-# spends most of its time in numpy calls that hold it. On 2 vCPUs with one BLAS
-# thread, in process, 11 alternating runs of bench/gen.py streams of 399
-# steps at alpha 0.01, with every block on the thread's turn sent to it:
-# median walk 0.070 -> 0.108 s with live blocks of 32 nodes (slower in all
-# 11), 0.110 -> 0.103 s at 40 (faster in 6) and 0.148 -> 0.136 s at 48
-# (faster in 8). At 238 nodes (bench/run.py's aggregate-large input) it
-# took 0.74x the serial time, median of 7. Measured again with the edge-list
-# walk (bench/gen.py StreamSpec(N, 4N, 1600, 400), alpha 0.01, every block
-# of N nodes, 11 alternating runs): serial -> thread 42 -> 77 ms at N = 24
-# (faster in 0), 81 -> 101 at 32 (3), 120 -> 115 at 40 (5), 220 -> 176 at
-# 48 (10) and 245 -> 204 at 64 (10). With _taylor below _GEMM_MAX the
-# thread lost at every size up to the gate, and still paid above it
-# (StreamSpec(N, 4N, max(1600, 4N), 400), alpha 0.01, 7 alternating walks,
-# no thread -> thread from 48 nodes): 0.157 -> 0.342 s at N = 48 (faster
-# in 0), 0.271 -> 0.386 at 64 (0), 0.307 -> 0.434 at 80 (0), 0.516 ->
-# 0.537 at 96 (2), 0.755 -> 0.620 at 104 (7) and 0.730 -> 0.662 at 113
-# (6). Directed walks, on _taylor at every size, gained from the thread
-# above the gate too: 0.683 -> 0.609 s at N = 113 and 1.383 -> 1.226 at
-# 160 (faster in 7 of 7 each). Below it the kernel's many short calls,
-# each taking the GIL back, leave the two threads waiting on each other.
-_THREAD_MIN_LIVE = _GEMM_MAX + 1
-
 # iter_factors builds blocks of up to _STACK_MAX live nodes in stacks, one
 # per size and _taylor_order, over windows of _STACK intervals. One CPU,
 # one BLAS thread, medians of 5-7 walks of bench/gen.py streams (the
@@ -125,8 +123,8 @@ _THREAD_MIN_LIVE = _GEMM_MAX + 1
 # and gates of 32, 48 and 64 0.98-1.06x, so 24 stays. Windows against 128,
 # medians of 11 walks: 256 took 0.90, 0.99, 0.93, 0.94, 1.08 and 1.03x,
 # so 128 stays too. _STACK_MAX must stay at most _GEMM_MAX: every stack
-# then goes to _taylor, which raises no LinAlgError, and _factors' block by
-# block retry of a failed stack solve runs only when a test lowers the gate.
+# then goes to _taylor, which raises no LinAlgError, and only a block built
+# alone can fail a syevd solve (_stacked).
 _STACK_MAX = 24
 _STACK = 128
 
@@ -367,36 +365,39 @@ def _live_block(ties: Ties, c: float) -> tuple[np.ndarray, np.ndarray]:
     return idx, -laplacian(rows, idx).T
 
 
-def _factors(blocks: list[tuple[np.ndarray, np.ndarray]], node_count: int) -> list:
-    """The factors exp(A) of generator blocks ``(idx, A)`` of one size, in
-    order: an ``IntervalFactor``, or the error of a block that fails.
+def _stacked(blocks: list[tuple[np.ndarray, np.ndarray]], node_count: int
+             ) -> Iterator[IntervalFactor]:
+    """Yield the factors exp(A) of generator blocks ``(idx, A)`` in order.
 
-    Several blocks run through ``_expm`` as one stack, and a stack whose
-    solve fails is built again one block at a time, so each error is
-    its own block's. The sign and column-sum checks run over the stack.
+    The blocks of each size and ``_taylor_order`` run through ``_expm`` as
+    one stack, and their sign and column-sum checks run over the stack. The
+    first block in order that fails them raises its error in its place,
+    after the factors before it. A failed solve (``LinAlgError``, from
+    ``syevd`` only) is raised as it happens: the walk holds only blocks of
+    up to ``_STACK_MAX`` nodes, which go to ``_taylor``, so that is a
+    single block.
     """
-    try:
-        if not len(blocks[0][0]):  # no live tie: the empty block
-            Y = np.zeros((len(blocks), 0, 0))
-        elif len(blocks) == 1:
-            Y = _expm(blocks[0][1])[None]
-        else:
-            Y = _expm(np.stack([A for _, A in blocks]))
-    except np.linalg.LinAlgError as error:
-        if len(blocks) == 1:
-            return [error]
-        return [fac for block in blocks for fac in _factors([block], node_count)]
-    np.maximum(Y, 0.0, out=Y)
-    return [error or IntervalFactor(idx, block, node_count, checked=True)
-            for (idx, _), block, error in zip(blocks, Y, _failures(Y))]
+    groups: dict[tuple, list[int]] = {}
+    for k, (idx, A) in enumerate(blocks):
+        groups.setdefault((len(idx), _taylor_order(_shift(A))), []).append(k)
+    built: list = [None] * len(blocks)
+    for (size, _), ks in groups.items():
+        Y = (_expm(np.stack([blocks[k][1] for k in ks])) if size
+             else np.zeros((len(ks), 0, 0)))  # no live tie: the empty block
+        np.maximum(Y, 0.0, out=Y)
+        for k, block, error in zip(ks, Y, _failures(Y)):
+            built[k] = error or IntervalFactor(blocks[k][0], block, node_count,
+                                               checked=True)
+    for fac in built:
+        if isinstance(fac, Exception):
+            raise fac
+        yield fac
 
 
 def _factor(idx: np.ndarray, A: np.ndarray, node_count: int) -> IntervalFactor:
-    """``_factors`` of one block; raises its error."""
-    fac, = _factors([(idx, A)], node_count)
-    if isinstance(fac, Exception):
-        raise fac
-    return fac
+    """The factor exp(A) of one generator block (``_stacked``); raises its
+    error."""
+    return next(_stacked([(idx, A)], node_count))
 
 
 def _decay_c(alpha: float, dt: float) -> float:
@@ -405,29 +406,22 @@ def _decay_c(alpha: float, dt: float) -> float:
     return math.expm1(-alpha * dt) / alpha
 
 
-def interval_factor(L: np.ndarray | Ties, delta_t: float, alpha: float
-                    ) -> IntervalFactor:
+def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFactor:
     """exp(c * L^T) with c = (e^{-alpha*dt} - 1)/alpha <= 0.
 
-    ``L`` is a dense N x N Laplacian (its diagonal is not read) or the
-    ``Ties`` it is made of. -L^T has non-negative off-diagonals and zero
-    column sums, so the result is entrywise non-negative and
-    column-stochastic. It is one block on the nodes with a live tie
-    (``_live_block``); all live nodes form one block, so rounding of about
-    eps * ||c L|| from a heavy tie can reach every live entry, as it does
-    in a dense ``expm``.
+    ``L`` is a dense N x N Laplacian; its diagonal is not read, and its
+    off-diagonal entries must be <= 0 (``dense_ties``). -L^T has
+    non-negative off-diagonals and zero column sums, so the result is
+    entrywise non-negative and column-stochastic. It is one block on the
+    nodes with a live tie (``_live_block``); all live nodes form one block,
+    so rounding of about eps * ||c L|| from a heavy tie can reach every live
+    entry, as it does in a dense ``expm``.
     """
     if not 0 <= delta_t < math.inf:
         raise ValueError(f"delta_t must be finite and >= 0, got {delta_t}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    ties = dense_ties(-L) if isinstance(L, np.ndarray) else L
-    return _tie_factor(ties, _decay_c(alpha, delta_t))
-
-
-def _tie_factor(ties: Ties, c: float) -> IntervalFactor:
-    """exp(c L^T) of the Laplacian of ``ties``, for c <= 0."""
-    return _factor(*_live_block(ties, c), ties.node_count)
+    return _factor(*_live_block(dense_ties(-L), _decay_c(alpha, delta_t)), len(L))
 
 
 def _this_cpu() -> int | None:
@@ -451,44 +445,23 @@ def _move_off(cpu: int | None) -> None:
             os.sched_setaffinity(0, allowed)
 
 
-def _stacked(blocks: list[tuple[np.ndarray, np.ndarray]], node_count: int
-             ) -> Iterator[IntervalFactor]:
-    """Yield the factors of ``blocks`` in order, the blocks of each size and
-    ``_taylor_order`` built as one stack (``_factors``); the first error in
-    that order is raised in its place, after the factors before it."""
-    groups: dict[tuple, list[int]] = {}
-    for k, (idx, A) in enumerate(blocks):
-        groups.setdefault((len(idx), _taylor_order(_shift(A))), []).append(k)
-    built = [None] * len(blocks)
-    for ks in groups.values():
-        for k, fac in zip(ks, _factors([blocks[k] for k in ks], node_count)):
-            built[k] = fac
-    for fac in built:
-        if isinstance(fac, Exception):
-            raise fac
-        yield fac
-
-
 def iter_factors(stream: EventStream, alpha: float,
                  upto: float | None = None) -> Iterator[IntervalFactor]:
     """Yield interval factors in time order up to ``upto``.
 
     The intervals, and the ``upto`` rule, are those of
-    ``tie_decay.timeline``; each interval's generator block is built
-    here from its live ties. With a CPU to spare (``_cpus``, and no pool
-    of ``experiments._map_tasks`` running), an interval goes to a factor
-    thread when the interval before it was built here with at least
-    ``_THREAD_MIN_LIVE`` live nodes. Of the others, an interval whose
-    predecessor was built here with at most ``_STACK_MAX`` live nodes is
-    held, up to ``_STACK`` intervals, and the held ones are built in
-    stacks (``_stacked``); the rest are built one at a time with
-    ``interval_factor``, after the held ones. Both rules
-    read the size of the interval before, as live blocks change slowly,
-    so an interval after the thread's is built alone. The thread starts with
-    its first interval and moves off this thread's CPU once. Factors come
-    out in interval order (``_in_order``), and so do their errors, the
-    thread's too. The thread is joined before this generator returns,
-    raises or is closed, so a caller that may stop early closes it
+    ``tie_decay.timeline``; each interval's generator block is built here
+    from its live ties (``_live_block``), and goes by its own size. A block
+    of at most ``_STACK_MAX`` nodes is held, up to ``_STACK`` intervals, and
+    the held ones are built in stacks (``_stacked``). With a CPU to spare
+    (``_cpus``, and no pool of ``experiments._map_tasks`` running), the
+    blocks of more than ``_GEMM_MAX`` nodes alternate between this thread
+    and a factor thread, the first here. Every other block is built here
+    (``_factor``), after the held ones. The thread starts with its first
+    block and moves off this thread's CPU once. Factors come out in
+    interval order (``_in_order``), and so do their errors, the thread's
+    too. The thread is joined before this generator returns, raises or is
+    closed, so a caller that may stop early closes it
     (``contextlib.closing``).
     """
     spare = not _pool_busy and _cpus() > 1
@@ -498,29 +471,26 @@ def iter_factors(stream: EventStream, alpha: float,
     def built():  # factors and the thread's futures, in interval order
         nonlocal thread
         held = []  # stackable blocks, not yet built
-        live = -1  # live nodes of the previous interval's block, if built here
+        here = False  # the last block above the gate was built here
         for _, dt, ties in timeline(stream, alpha, upto):
-            if spare and live >= _THREAD_MIN_LIVE:
-                yield from _stacked(held, n)
-                held = []
+            idx, A = _live_block(ties, _decay_c(alpha, dt))
+            if len(idx) <= _STACK_MAX:
+                held.append((idx, A))
+                if len(held) == _STACK:
+                    yield from _stacked(held, n)
+                    held = []
+                continue
+            yield from _stacked(held, n)
+            held = []
+            # the blocks above the gate alternate, the first here
+            if spare and len(idx) > _GEMM_MAX and not (here := not here):
                 if thread is None:
                     from concurrent.futures import ThreadPoolExecutor
                     thread = ThreadPoolExecutor(1, "tiedyn-factor", _move_off,
                                                 (_this_cpu(),))
-                # the block is built here: laplacian is traced (bench/trace.py)
-                yield thread.submit(_factor, *_live_block(ties, _decay_c(alpha, dt)), n)
-                live = -1
-            elif 0 <= live <= _STACK_MAX:
-                held.append(_live_block(ties, _decay_c(alpha, dt)))
-                live = len(held[-1][0])
-                if len(held) == _STACK:
-                    yield from _stacked(held, n)
-                    held = []
+                yield thread.submit(_factor, idx, A, n)
             else:
-                yield from _stacked(held, n)
-                held = []
-                yield (fac := interval_factor(ties, dt, alpha))
-                live = len(fac.idx)
+                yield _factor(idx, A, n)
         yield from _stacked(held, n)
 
     try:

@@ -67,11 +67,14 @@ class Ties(NamedTuple):
 
 def dense_ties(W: np.ndarray) -> Ties:
     """The nonzero off-diagonal entries of the N x N weights ``W`` as
-    directed ties, in row-major order."""
+    directed ties, in row-major order. They must be finite and >= 0; the
+    diagonal is not read."""
     if not np.all(np.isfinite(W)):
         raise ValueError("nonfinite weights")
     W = W.copy()
     np.fill_diagonal(W, 0.0)
+    if (W < 0).any():
+        raise ValueError("negative off-diagonal weights")
     sources, targets = W.nonzero()
     return Ties(sources, targets, W[sources, targets], W.shape[0], True)
 

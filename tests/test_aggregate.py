@@ -150,6 +150,16 @@ def test_weights_reject_bad_alpha(alpha):
         aggregate_weights(parse_events("0 a b\n1 a b"), alpha)
 
 
+def test_propagator_rejects_negative_weights():
+    # dropped as dead ties, they gave the identity
+    with pytest.raises(ValueError, match="negative off-diagonal weights"):
+        aggregate_propagator(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1.0)
+    w = aggregate_weights(make_random_stream(6), 0.7)
+    w[0, 1] = -w[0, 1] - 1.0
+    with pytest.raises(ValueError, match="negative off-diagonal weights"):
+        aggregate_propagator(w, 1.0)
+
+
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_propagator_rejects_bad_t(t):
     w = aggregate_weights(parse_events("0 a b\n1 a b"), 1.0)

@@ -188,7 +188,7 @@ def test_one_expm_call_per_factor(monkeypatch):
     calls = []
 
     def counted(A):
-        calls.append(A.shape[0])
+        calls.append(A.shape[-1])
         return _expm(A)
 
     monkeypatch.setattr(propagator, "_expm", counted)

@@ -174,7 +174,7 @@ def upto_points(stream):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """A CPU to spare: blocks of _THREAD_MIN_LIVE nodes and more alternate
+    """A CPU to spare: blocks of more than _GEMM_MAX nodes alternate
     between this thread and the factor thread, so a walk takes the stacked,
     the one-block and the thread's paths."""
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
@@ -214,12 +214,20 @@ def test_time_series_snapshots_are_the_dense_walk(case, alpha, cpus, monkeypatch
 
 
 def test_bench_inputs_take_the_stacked_and_the_one_block_paths():
-    # the sweep's blocks are mostly small enough to stack; every block of
-    # aggregate-large at slow decay is built alone
-    sizes = {case: [len(fac.idx) for fac in iter_factors(stream_of(case), alpha)]
-             for case, alpha in [("sweep-fast-decay", 1.0), ("aggregate-large", 0.01)]}
-    assert np.median(sizes["sweep-fast-decay"]) <= propagator._STACK_MAX
-    assert min(sizes["aggregate-large"]) > propagator._STACK_MAX
+    # each block goes by its own size (iter_factors): the sweep's blocks
+    # are all small enough to stack, slow decay and the time series build
+    # almost all of theirs one at a time on _taylor, and every block of
+    # aggregate-large is above the gate, where the factor thread takes
+    # every other one
+    sizes = {case: np.array([len(fac.idx) for alpha in load_bench("run").WORKLOADS[case].alphas
+                             for fac in iter_factors(stream_of(case), alpha)])
+             for case in BENCH_INPUTS}
+    stack_max, gemm_max = propagator._STACK_MAX, propagator._GEMM_MAX
+    assert sizes["sweep-fast-decay"].max() <= stack_max
+    for case in ("ensemble-slow-decay", "timeseries"):
+        one_at_a_time = (sizes[case] > stack_max) & (sizes[case] <= gemm_max)
+        assert one_at_a_time.mean() > 0.95, case
+    assert sizes["aggregate-large"].min() > gemm_max
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +280,8 @@ def test_stacked_syevd_is_each_block_alone(k):
 def test_stacked_factors_are_each_block_alone(monkeypatch):
     # _stacked groups the blocks of one size by _taylor_order
     stacks = []
-    original = propagator._factors
-    monkeypatch.setattr(propagator, "_factors",
-                        lambda blocks, n: stacks.append(len(blocks)) or original(blocks, n))
+    original = propagator._expm
+    monkeypatch.setattr(propagator, "_expm", lambda A: stacks.append(len(A)) or original(A))
     blocks = [(np.arange(k), A) for k in (3, 7) for A in
               random_generators(np.random.default_rng(k), k, 12)]
     for fac, block in zip(propagator._stacked(blocks, 9), blocks, strict=True):
@@ -307,37 +314,6 @@ def walk_until_error(stream, error, match):
         for fac in iter_factors(stream, 1.0):
             got.append(fac)
     return got
-
-
-@pytest.mark.parametrize("failing", [5, 70])
-def test_stack_raises_a_failed_solve_in_interval_order(monkeypatch, failing):
-    # every block above the gate: the stacks go to syevd
-    monkeypatch.setattr(propagator, "_GEMM_MAX", 1)
-    stream, blocks = stacked_walk(monkeypatch)
-    expected = list(iter_factors(stream, 1.0))
-    # the trailing block that the kernel's eigh_lo solves for interval `failing`
-    solved = []
-    monkeypatch.setattr(propagator, "eigh_lo",
-                        lambda B, signature: solved.append(B.copy()) or
-                        np.linalg.eigh(B, UPLO="L"))
-    propagator._expm(blocks[failing][1])
-    target, = solved
-    original, stacks = propagator._eigh_lower, []
-
-    def failing_solve(B, signature):
-        vals, vecs = original(B, signature)
-        for j, slice_ in enumerate(B.reshape(-1, *B.shape[-2:])):
-            if np.array_equal(slice_, target):
-                vals.reshape(-1, vals.shape[-1])[j] = np.nan
-                stacks.append(len(B) if B.ndim == 3 else 1)
-        return vals, vecs
-
-    monkeypatch.setattr(propagator, "eigh_lo", failing_solve)
-    got = walk_until_error(stream, np.linalg.LinAlgError, "syevd did not converge")
-    assert max(stacks) > 1 and stacks[-1] == 1  # in a stack, then alone
-    assert len(got) == failing
-    for fac, want in zip(got, expected):
-        assert np.array_equal(fac.idx, want.idx) and np.array_equal(fac.block, want.block)
 
 
 @pytest.mark.parametrize("failing", [5, 70])

@@ -41,23 +41,25 @@ def helper_on(monkeypatch):
     """Send every other interval of every walk in this process to the
     factor thread, whatever its size, and record the alphas of the walks
     that ``propagate`` and ``evolve_opinions`` started and the live-block
-    sizes built on each side, as (on the thread, size)."""
+    sizes built on each side, as (on the thread, size). With the kernel
+    gate and the stack bound below 0, every block, the empty one too, is
+    above the gate, and the symmetric ones go to ``syevd``."""
     served, built = [], []
-    walk, build = propagator.iter_factors, propagator._factors
+    walk, build = propagator.iter_factors, propagator._stacked
 
     def recorded(stream, alpha, upto=None):
         served.append(alpha)
         return walk(stream, alpha, upto)
 
     def recorded_build(blocks, n):
-        facs = build(blocks, n)
         built.extend((on_thread(), len(idx)) for idx, _ in blocks)
-        return facs
+        return build(blocks, n)
 
-    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 0)
+    monkeypatch.setattr(propagator, "_GEMM_MAX", -1)
+    monkeypatch.setattr(propagator, "_STACK_MAX", -1)
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
     monkeypatch.setattr(propagator, "iter_factors", recorded)
-    monkeypatch.setattr(propagator, "_factors", recorded_build)
+    monkeypatch.setattr(propagator, "_stacked", recorded_build)
     return SimpleNamespace(served=served, built=built,
                            threaded=lambda: any(t for t, _ in built))
 
@@ -95,7 +97,7 @@ def upto_points(stream):
 
 def interval_of(stream, alpha):
     """A map from an interval's generator block ``(idx, A)``, as the walk
-    hands it to ``propagator._factors``, to its index in interval order."""
+    hands it to ``propagator._stacked``, to its index in interval order."""
     blocks = []
     for _, dt, ties in timeline(stream, alpha):
         blocks.append(propagator._live_block(ties, propagator._decay_c(alpha, dt)))
@@ -107,7 +109,10 @@ def interval_of(stream, alpha):
 @pytest.mark.parametrize("case", STREAMS)
 def test_helper_gives_the_serial_product(helper_on, monkeypatch, no_thread_left,
                                          case, min_live):
-    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", min_live)
+    # blocks of min_live nodes and more alternate; at 6, blocks of up to 2
+    # nodes are stacked and those of 3 to 5 built alone
+    monkeypatch.setattr(propagator, "_GEMM_MAX", min_live - 1)
+    monkeypatch.setattr(propagator, "_STACK_MAX", min(min_live, 3) - 1)
     stream = stream_of(case)
     for alpha in ALPHAS:
         for upto in upto_points(stream):
@@ -134,26 +139,52 @@ def test_helper_with_a_short_switch_interval(helper_on, no_thread_left):
 
 def test_large_blocks_alternate_and_small_ones_stay(helper_on, monkeypatch,
                                                     no_thread_left):
-    # an interval goes to the thread when the one before it was built here
-    # with at least 6 live nodes
-    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 6)
-    stream = stream_of(STREAMS[0])
-    sizes = [len(fac.idx) for fac in serial_factors(stream, 1.0)]
-    find, built, build = interval_of(stream, 1.0), {}, propagator._factors
+    # each block goes by its own size: blocks of up to 2 nodes are stacked,
+    # also right after a large or a threaded block, blocks of 3 are built
+    # alone here, and the blocks of 4 nodes and more alternate between
+    # here and the thread, the first here
+    monkeypatch.setattr(propagator, "_STACK_MAX", 2)
+    monkeypatch.setattr(propagator, "_GEMM_MAX", 3)
+    # blocks in interval order, as the walk makes them; some repeat an
+    # earlier one entry for entry, so they are found by identity
+    made, stacked, alone = [], {}, {}
+    live_block, stack, factor = propagator._live_block, propagator._stacked, propagator._factor
 
-    def recorded(blocks, n):
-        for idx, A in blocks:
-            built[find(idx, A)] = on_thread()
-        return build(blocks, n)
+    def find(A):
+        return next(k for k, (_, A_k) in enumerate(made) if A_k is A)
 
-    monkeypatch.setattr(propagator, "_factors", recorded)
-    propagate(stream, 1.0)
-    assert sorted(built) == list(range(len(sizes)))
-    expected = [k > 0 and not built[k - 1] and sizes[k - 1] >= 6
-                for k in range(len(sizes))]
-    assert [built[k] for k in range(len(sizes))] == expected
-    assert 2 < sum(expected) < len(sizes) // 2
-    assert any(size < 6 for size in sizes)
+    def recorded_stack(blocks, n):
+        for _, A in blocks:
+            stacked[find(A)] = on_thread()
+        return stack(blocks, n)
+
+    def recorded_factor(idx, A, n):  # builds through _stacked too
+        alone[find(A)] = on_thread()
+        return factor(idx, A, n)
+
+    monkeypatch.setattr(propagator, "_live_block",
+                        lambda ties, c: made.append(live_block(ties, c)) or made[-1])
+    monkeypatch.setattr(propagator, "_stacked", recorded_stack)
+    monkeypatch.setattr(propagator, "_factor", recorded_factor)
+    propagate(stream_of(STREAMS[0]), 100.0)
+    sizes = [len(idx) for idx, _ in made]
+    assert sorted(stacked) == list(range(len(sizes)))
+    routes = ["stack" if k not in alone else "thread" if alone[k] else "here"
+              for k in range(len(sizes))]
+    assert not any(stacked[k] for k in range(len(sizes)) if routes[k] == "stack")
+    expected, here = [], False
+    for size in sizes:
+        if size <= 2:
+            expected.append("stack")
+        elif size == 3:
+            expected.append("here")
+        else:
+            here = not here
+            expected.append("here" if here else "thread")
+    assert routes == expected
+    after = set(zip(routes, routes[1:]))
+    assert {("here", "stack"), ("thread", "stack"), ("stack", "thread")} <= after
+    assert 10 < routes.count("thread") < routes.count("stack")
 
 
 def test_helper_with_a_one_factor_window(helper_on, monkeypatch, no_thread_left):
@@ -175,24 +206,23 @@ def test_evolve_opinions_with_the_thread_is_serial(helper_on, no_thread_left):
 
 
 def failing_factors(monkeypatch, stream, alpha, failures):
-    """Make ``_factors`` give ``ArithmeticError("factor k failed")`` for
-    interval k of ``failures`` (after ``failures[k]`` seconds), on
+    """Make ``_stacked`` raise ``ArithmeticError("factor k failed")`` in
+    place of interval k of ``failures`` (after ``failures[k]`` seconds), on
     whichever thread builds it, alone or in a stack."""
-    find, build = interval_of(stream, alpha), propagator._factors
+    find, build = interval_of(stream, alpha), propagator._stacked
 
     def failing(blocks, n):
-        facs = build(blocks, n)
-        for j, (idx, A) in enumerate(blocks):
+        for (idx, A), fac in zip(blocks, build(blocks, n)):
             k = find(idx, A)
             if k in failures:
                 time.sleep(failures[k])
-                facs[j] = ArithmeticError(f"factor {k} failed")
-        return facs
+                raise ArithmeticError(f"factor {k} failed")
+            yield fac
 
-    monkeypatch.setattr(propagator, "_factors", failing)
+    monkeypatch.setattr(propagator, "_stacked", failing)
 
 
-# With the threshold at 0 the factor thread builds the odd intervals.
+# With every block above the gate the factor thread builds the odd intervals.
 @pytest.mark.parametrize("failures,expected", [
     ({3: 0.3, 4: 0.0}, "factor 3 failed"),    # the thread's error, though last in time
     ({4: 0.0, 7: 0.0}, "factor 4 failed"),    # this thread's error comes first
@@ -221,7 +251,7 @@ def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
 
 def test_helper_is_stopped_when_the_product_fails(monkeypatch, helper_on, no_thread_left):
     # the thread is still building its first factor when M's product fails
-    build, slept = propagator._factors, []
+    build, slept = propagator._stacked, []
 
     def slow_on_thread(blocks, n):
         if on_thread():
@@ -232,7 +262,7 @@ def test_helper_is_stopped_when_the_product_fails(monkeypatch, helper_on, no_thr
     def fails(fac, M):
         raise FloatingPointError("product failed")
 
-    monkeypatch.setattr(propagator, "_factors", slow_on_thread)
+    monkeypatch.setattr(propagator, "_stacked", slow_on_thread)
     monkeypatch.setattr(propagator.IntervalFactor, "apply", fails)
     with pytest.raises(FloatingPointError, match="product failed"):
         propagate(stream_of(STREAMS[0]), 0.01)
@@ -252,8 +282,8 @@ def test_one_cpu_starts_no_helper(monkeypatch, helper_on):
 
 
 def test_small_work_starts_no_helper(monkeypatch, helper_on):
-    # a walk whose live blocks are all below the threshold starts no thread
-    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 13)
+    # a walk whose live blocks are all at or below the gate starts no thread
+    monkeypatch.setattr(propagator, "_GEMM_MAX", 12)
     stream = stream_of(STREAMS[0])
     assert stream.node_count < 13
     threads = threading.active_count()
@@ -271,7 +301,7 @@ def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
     # neither the workers' walks nor the pooled time series' walk in this
     # process build a factor on a thread
     log = tmp_path / "helpers.txt"
-    build = propagator._factors
+    build = propagator._stacked
 
     def logged(blocks, n):
         if on_thread():
@@ -279,7 +309,7 @@ def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
                 fh.write(f"{os.getpid()}\n" * len(blocks))
         return build(blocks, n)
 
-    monkeypatch.setattr(propagator, "_factors", logged)
+    monkeypatch.setattr(propagator, "_stacked", logged)
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
     events = tmp_path / "events.txt"
@@ -307,13 +337,15 @@ def series_records(tmp_path, name):
 
 
 def test_time_series_without_the_pool_is_serial(tmp_path, monkeypatch, no_thread_left):
+    # every block above the gate on both sides, so both run the same kernel
+    monkeypatch.setattr(propagator, "_GEMM_MAX", -1)
+    monkeypatch.setattr(propagator, "_STACK_MAX", -1)
     monkeypatch.setattr(propagator, "_cpus", lambda: 1)
     serial = series_records(tmp_path, "serial.csv")
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 10**18)
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
-    monkeypatch.setattr(propagator, "_THREAD_MIN_LIVE", 0)
-    threaded, build = [], propagator._factors
-    monkeypatch.setattr(propagator, "_factors",
+    threaded, build = [], propagator._stacked
+    monkeypatch.setattr(propagator, "_stacked",
                         lambda blocks, n: threaded.append(on_thread()) or build(blocks, n))
     assert series_records(tmp_path, "threaded.csv") == serial
     assert any(threaded)
@@ -363,17 +395,17 @@ THREAD_ON = """
 import sys, threading
 import tiedyn.propagator as propagator
 
-propagator._THREAD_MIN_LIVE = 0
+propagator._GEMM_MAX = propagator._STACK_MAX = -1
 propagator._cpus = lambda: 2
 served, on_thread = [], []
-walk, build = propagator.iter_factors, propagator._factors
+walk, build = propagator.iter_factors, propagator._stacked
 propagator.iter_factors = lambda *args: served.append(1) or walk(*args)
 
 def recorded(*args):
     on_thread.append(threading.current_thread() is not threading.main_thread())
     return build(*args)
 
-propagator._factors = recorded
+propagator._stacked = recorded
 
 def report():
     print(len(served), sum(on_thread) > 0, threading.active_count())
@@ -389,11 +421,13 @@ sys.exit(code)
 """
 
 
+# THREAD_ON's kernels on one CPU
 SERIAL_CLI = """
 import sys
 import tiedyn.propagator as propagator
 from tiedyn.cli import main
 
+propagator._GEMM_MAX = propagator._STACK_MAX = -1
 propagator._cpus = lambda: 1
 sys.exit(main(sys.argv[1:]))
 """
@@ -414,8 +448,9 @@ def test_cli_with_helper_writes_the_serial_csv(tmp_path, mode):
 
 # bench/trace.py keeps one stack of open spans per process, so a span the
 # thread opened would interleave with the main thread's. The main thread
-# builds its factors through the traced interval_factor, the thread through
-# the untraced _factor.
+# builds every interval's generator block, through the traced laplacian; the
+# thread runs only the untraced _factor. The script also prints whether a
+# traced laplacian ran off the main thread.
 TRACED_WITH_HELPER = THREAD_ON + """
 import importlib.util, json
 sys.path.insert(0, sys.argv[1])
@@ -426,8 +461,20 @@ def load(name):
     spec.loader.exec_module(module)
     return module
 
-code = load("trace").main(sys.argv[2:])
+trace, off_main = load("trace"), []
+wrap = trace.Tracer.wrap
+
+def noting_the_thread(self, name, fn):
+    traced = wrap(self, name, fn)
+    def noted(*args, **kwargs):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        return traced(*args, **kwargs)
+    return noted if name == "tie_decay.laplacian" else traced
+
+trace.Tracer.wrap = noting_the_thread
+code = trace.main(sys.argv[2:])
 report()
+print(len(off_main), any(off_main))
 with open(sys.argv[2]) as fh:
     print(json.dumps(load("run").layer_metrics(json.load(fh))))
 sys.exit(code)
@@ -443,7 +490,7 @@ def test_traced_run_with_helper_is_sound(tmp_path):
                         "--mode", "aggregate-compare", "--alpha", "0.01",
                         "--out", tmp_path / "o.csv")
     assert result.returncode == 0, result.stderr
-    ran, metrics = result.stdout.splitlines()[-2:]
+    ran, laplacians, metrics = result.stdout.splitlines()[-3:]
     assert ran == "1 True 1"
     spans = json.loads(spans_path.read_text())
     assert any(name == "propagator.propagate" for name, *_ in spans)
@@ -452,9 +499,19 @@ def test_traced_run_with_helper_is_sound(tmp_path):
         if parent >= 0:
             _, p_start, p_end, _ = spans[parent]
             assert p_start <= start and end <= p_end, name
+
+    def in_propagate(span):
+        parent = span[3]
+        while parent >= 0 and spans[parent][0] != "propagator.propagate":
+            parent = spans[parent][3]
+        return parent >= 0
+
+    # one laplacian per interval inside propagate, every one of them (and
+    # the aggregate propagator's) on the main thread
+    n_intervals = len(list(intervals(stream, 0.01)))
+    walk = [span for span in spans if span[0] == "tie_decay.laplacian" and in_propagate(span)]
+    assert len(walk) == n_intervals
+    assert laplacians == f"{sum(span[0] == 'tie_decay.laplacian' for span in spans)} False"
     metrics = json.loads(metrics)
     assert metrics["propagator.propagate_s"] > 0
-    # the main thread's half of the intervals
-    n_intervals = len(list(intervals(stream, 0.01)))
-    assert metrics["propagator.factor_calls"] == (n_intervals + 1) // 2
     assert min(metrics.values()) >= 0, metrics

@@ -49,6 +49,16 @@ def test_factor_rejects_bad_inputs():
         interval_factor(L2, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("L", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),  # both off-diagonals positive
+    np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.5], [0.0, 0.0, 0.0]]),  # one
+], ids=["two-node", "one-entry"])
+def test_factor_rejects_a_positive_off_diagonal(L):
+    # a negative tie weight is not a Laplacian: it must fail, not be dropped
+    with pytest.raises(ValueError, match="negative off-diagonal weights"):
+        interval_factor(L, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
 def test_factors_column_stochastic(seed, alpha):
