@@ -12,6 +12,6 @@ from .randomize import (RandomizerSpec, interval_shuffle, member_seed,
                         shuffle_time_stamps)
 from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
                        fiedler_left, shrinkage_ratio, spectral_gap)
-from .tie_decay import apply_events, decay_to, event_cells, intervals, laplacian
+from .tie_decay import apply_events, decay_to, intervals, laplacian
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .events import EventStream
 from .propagator import _factor, _live_block
-from .tie_decay import dense_ties
+from .tie_decay import dense_ties, stream_ties, weight_matrix
 
 
 def aggregate_weights(stream: EventStream, alpha: float) -> np.ndarray:
@@ -24,20 +24,14 @@ def aggregate_weights(stream: EventStream, alpha: float) -> np.ndarray:
     T = stream.horizon
     if T <= 0:
         raise ValueError("aggregation needs a positive time horizon")
-    n = stream.node_count
     # math.expm1, not np.expm1: numpy's vectorized expm1 can differ in the
     # last bit, and these weights feed the aggregate gap written to CSV
     decay = (-alpha * (T - stream.times)).tolist()
     contrib = -np.fromiter(map(math.expm1, decay), float, len(decay)) / (alpha * T)
-    i, j = stream.sources, stream.targets
-    if not stream.directed:
-        # both cells of each event, interleaved: every cell sums its terms
-        # in event order
-        i, j = np.column_stack([i, j]).ravel(), np.column_stack([j, i]).ravel()
-        contrib = contrib.repeat(2)
-    w = np.zeros((n, n))
-    np.add.at(w, (i, j), contrib)
-    return w
+    # each edge sums its terms in event order
+    ties, edge_of_event = stream_ties(stream)
+    np.add.at(ties.weights, edge_of_event, contrib)
+    return weight_matrix(ties)
 
 
 def aggregate_propagator(weights: np.ndarray, t: float) -> np.ndarray:

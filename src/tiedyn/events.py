@@ -122,23 +122,25 @@ class EventStream:
     def edge_key(self, i: int, j: int) -> tuple[int, int]:
         return (i, j) if self.directed else (min(i, j), max(i, j))
 
-    def _edge_codes(self) -> np.ndarray:
-        """``i * N + j`` of each event's ``edge_key(i, j)``."""
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stream's distinct edges and each event's edge, read-only:
+        the codes ``i * N + j`` of the distinct ``edge_key(i, j)``, in
+        increasing order, and the position in them of each event's code."""
         i, j = self.sources, self.targets
         if not self.directed:
             i, j = np.minimum(i, j), np.maximum(i, j)
-        return i * self.node_count + j
+        codes, edge_of_event = np.unique(i * self.node_count + j, return_inverse=True)
+        codes.flags.writeable = edge_of_event.flags.writeable = False
+        return codes, edge_of_event
 
     def edge_event_index(self) -> dict[tuple[int, int], list[float]]:
         """Map each node pair, in key order, to its sorted list of event
         times."""
-        codes = self._edge_codes()
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        starts = np.flatnonzero(np.diff(codes, prepend=-1))
-        bounds = [*starts.tolist(), len(codes)]
-        times = self.times[order].tolist()
-        keys = zip(*np.divmod(codes[starts], self.node_count))
+        codes, edge_of_event = self.edges
+        times = self.times[np.argsort(edge_of_event, kind="stable")].tolist()
+        bounds = [0, *np.cumsum(np.bincount(edge_of_event)).tolist()]
+        keys = zip(*np.divmod(codes, self.node_count))
         return {(int(i), int(j)): times[a:b]
                 for (i, j), a, b in zip(keys, bounds, bounds[1:])}
 
@@ -217,11 +219,10 @@ def serialize_events(stream: EventStream) -> str:
 
 def stream_stats(stream: EventStream) -> dict:
     """Node, edge, and event counts plus mean events per node."""
-    edges = len(np.unique(stream._edge_codes()))
     events = len(stream.times)
     return {
         "nodes": stream.node_count,
-        "edges": edges,
+        "edges": len(stream.edges[0]),
         "events": events,
         "mean_events_per_node": events / stream.node_count,
     }
@@ -246,9 +247,12 @@ def exclude_low_degree_nodes(stream: EventStream, min_edges: int) -> EventStream
     if min_edges < 0:
         raise ValueError("min_edges must be >= 0")
     n = stream.node_count
-    lo = np.minimum(stream.sources, stream.targets)
-    hi = np.maximum(stream.sources, stream.targets)
-    a, b = np.divmod(np.unique(lo * n + hi), n)
+    codes = stream.edges[0]
+    a, b = np.divmod(codes, n)
+    # each neighbour pair once: a directed edge b -> a whose reverse is an
+    # edge adds no neighbour
+    keep = (a < b) | ~np.isin(b * n + a, codes)
+    a, b = a[keep], b[keep]
     alive = np.ones(n, dtype=bool)
     while True:
         live = alive[a] & alive[b]

@@ -22,8 +22,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .events import EventStream
-from .tie_decay import (Ties, apply_events, dense_ties, event_cells, intervals,
-                        laplacian, timeline)
+from .tie_decay import (Ties, apply_events, dense_ties, intervals, laplacian,
+                        stream_ties, timeline, weight_matrix)
 
 
 def _eigh_lower(B: np.ndarray, signature: str | None = None
@@ -382,7 +382,9 @@ def _stacked(blocks: list[tuple[np.ndarray, np.ndarray]], node_count: int
         groups.setdefault((len(idx), _taylor_order(_shift(A))), []).append(k)
     built: list = [None] * len(blocks)
     for (size, _), ks in groups.items():
-        Y = (_expm(np.stack([blocks[k][1] for k in ks])) if size
+        As = [blocks[k][1] for k in ks]
+        # a lone block goes as a view: np.stack would copy it
+        Y = (_expm(As[0][None] if len(As) == 1 else np.stack(As)) if size
              else np.zeros((len(ks), 0, 0)))  # no live tie: the empty block
         np.maximum(Y, 0.0, out=Y)
         for k, block, error in zip(ks, Y, _failures(Y)):
@@ -584,10 +586,10 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
 
     Events are assigned to the grid by flooring their time to the
     nearest multiple of ``delta_t`` at or below. At each step the tie
-    matrix decays by e^{-alpha*delta_t}, the step's event adjacency is
-    added, and opinions are averaged through the column-normalized
-    transition. It decays by a plain multiply, not the timeline's
-    flushing ``decay_to``, on purpose: column normalization is
+    weights (``stream_ties``) decay by e^{-alpha*delta_t}, the step's
+    events are added, and opinions are averaged through the
+    column-normalized transition. They decay by a plain multiply, not the
+    timeline's flushing ``decay_to``, on purpose: column normalization is
     scale-invariant, so a column of tiny weights still defines a full
     transition, which flushing them to zero would erase.
     """
@@ -597,17 +599,16 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
         raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    n = stream.node_count
     y = _opinions(y_init, stream)
 
     # step of each event, non-decreasing since the times are sorted
     step_of = stream.times // delta_t
-    cells = event_cells(stream.sources, stream.targets, n, stream.directed)
-    A_tilde = np.zeros((n, n))
+    ties, edge_of_event = stream_ties(stream)
+    w = ties.weights
     decay = math.exp(-alpha * delta_t)
     for k in range(steps):
-        A_tilde = A_tilde * decay
+        w *= decay
         start, stop = np.searchsorted(step_of, (k, k + 1))
-        apply_events(A_tilde, cells[start:stop])
-        y = y @ degroot_transition(A_tilde)
+        apply_events(w, edge_of_event[start:stop])
+        y = y @ degroot_transition(weight_matrix(ties))
     return y

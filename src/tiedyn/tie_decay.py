@@ -19,9 +19,10 @@ from .events import EventStream, group_event_times
 # Weights this small are flushed to exact zero to avoid subnormal drag.
 _FLUSH_THRESHOLD = 1e-300
 
-# decay_to and apply_events are the walk's two in-place kernels. bench/trace.py
-# wraps them by name, and ``timeline`` calls them through the module globals,
-# so the wrappers see every call.
+# decay_to and apply_events are the walk's two in-place kernels; ``timeline``
+# calls both, and ``propagator.degroot_run`` calls apply_events. bench/trace.py
+# wraps them by name, under every name a tiedyn module binds them to, so the
+# wrappers see every call.
 
 
 def decay_to(w: np.ndarray, alpha: float, dt: float) -> None:
@@ -32,26 +33,12 @@ def decay_to(w: np.ndarray, alpha: float, dt: float) -> None:
     w[w < _FLUSH_THRESHOLD] = 0.0
 
 
-def event_cells(sources: np.ndarray, targets: np.ndarray, node_count: int,
-                directed: bool) -> np.ndarray:
-    """One row per event: the flat index ``i*N + j`` of its pair's weight
-    cell and, for an undirected event, also ``j*N + i``.
-
-    The rows of a run of events ``[start, stop)`` are ``cells[start:stop]``.
-    """
-    cells = sources * node_count + targets
-    if directed:
-        return cells[:, None]
-    return np.stack([cells, targets * node_count + sources], axis=1)
-
-
-def apply_events(w: np.ndarray, cells: np.ndarray) -> None:
-    """Add 1 in place to every flat cell in ``cells`` (``event_cells``
-    rows, or edge indices of a ``Ties`` vector) of the C-contiguous
-    weights ``w``; repeated cells add up, in order."""
-    if not w.flags.c_contiguous:
-        raise ValueError("weights must be C-contiguous")
-    np.add.at(w.reshape(-1), cells, 1.0)
+def apply_events(w: np.ndarray, edges: np.ndarray) -> None:
+    """Add 1 in place to the weight ``w[e]`` of every edge index ``e`` in
+    ``edges`` (``stream_ties``); repeated edges add up, in order."""
+    if w.ndim != 1:
+        raise ValueError(f"weights must be one vector over the edges, got shape {w.shape}")
+    np.add.at(w, edges, 1.0)
 
 
 class Ties(NamedTuple):
@@ -67,8 +54,10 @@ class Ties(NamedTuple):
 
 def dense_ties(W: np.ndarray) -> Ties:
     """The nonzero off-diagonal entries of the N x N weights ``W`` as
-    directed ties, in row-major order. They must be finite and >= 0; the
-    diagonal is not read."""
+    directed ties, in row-major order. ``W`` must be square, and its
+    entries finite and >= 0; the diagonal is not read."""
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError(f"weights must be a square matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
         raise ValueError("nonfinite weights")
     W = W.copy()
@@ -77,6 +66,14 @@ def dense_ties(W: np.ndarray) -> Ties:
         raise ValueError("negative off-diagonal weights")
     sources, targets = W.nonzero()
     return Ties(sources, targets, W[sources, targets], W.shape[0], True)
+
+
+def stream_ties(stream: EventStream) -> tuple[Ties, np.ndarray]:
+    """Zero weights on the stream's distinct edges (``EventStream.edges``,
+    in ``edge_key`` order), and the edge index of each event."""
+    codes, edge_of_event = stream.edges
+    n = stream.node_count
+    return Ties(*np.divmod(codes, n), np.zeros(len(codes)), n, stream.directed), edge_of_event
 
 
 def weight_matrix(ties: Ties) -> np.ndarray:
@@ -124,10 +121,8 @@ def timeline(stream: EventStream, alpha: float, upto: float | None = None
         upto = stream.horizon
     elif not math.isfinite(upto):
         raise ValueError(f"upto must be finite, got {upto}")
-    n = stream.node_count
-    keys, edge_of_event = np.unique(stream._edge_codes(), return_inverse=True)
-    w = np.zeros(len(keys))
-    ties = Ties(*np.divmod(keys, n), w, n, stream.directed)
+    ties, edge_of_event = stream_ties(stream)
+    w = ties.weights
     t_prev: float | None = None
     for t_g, start, stop in groups:
         if t_g > upto or (t_prev is not None and t_g >= upto):

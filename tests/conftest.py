@@ -52,6 +52,14 @@ def make_random_stream(seed, n_max=6, max_events=30, directed=False):
                        tuple(map(str, range(n))), directed)
 
 
+def pair_seen_both_ways(stream):
+    """Whether some pair has events in both orientations, and some
+    orientation more than one event."""
+    pairs = list(zip(stream.sources.tolist(), stream.targets.tolist()))
+    seen = set(pairs)
+    return len(seen) < len(pairs) and any((j, i) in seen for i, j in seen)
+
+
 # labels that ``str.split`` and ``str.splitlines`` leave whole
 labels = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs")),
                  min_size=1, max_size=6).filter(

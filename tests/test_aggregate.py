@@ -7,7 +7,7 @@ from tiedyn.aggregate import aggregate_propagator, aggregate_weights
 from tiedyn.events import group_event_times, parse_events
 from tiedyn.tie_decay import laplacian
 
-from conftest import make_random_stream
+from conftest import make_random_stream, pair_seen_both_ways
 
 
 def time_averaged_weights(stream, alpha, n_sub=2000):
@@ -100,6 +100,34 @@ def test_weights_equal_event_loop_bit_for_bit(directed):
                                   event_loop_weights(stream, alpha))
 
 
+def dense_aggregate_weights(stream, alpha):
+    """The dense accumulation that the tie vector replaced: one np.add.at
+    into N x N, both cells of an undirected event interleaved, so that
+    every cell sums its terms in event order."""
+    T = stream.horizon
+    n = stream.node_count
+    decay = (-alpha * (T - stream.times)).tolist()
+    contrib = -np.fromiter(map(math.expm1, decay), float, len(decay)) / (alpha * T)
+    i, j = stream.sources, stream.targets
+    if not stream.directed:
+        i, j = np.column_stack([i, j]).ravel(), np.column_stack([j, i]).ravel()
+        contrib = contrib.repeat(2)
+    w = np.zeros((n, n))
+    np.add.at(w, (i, j), contrib)
+    return w
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_weights_equal_dense_accumulation_bitwise(directed):
+    streams = [make_random_stream(seed, n_max=5, max_events=60, directed=directed)
+               for seed in range(20)]
+    assert any(map(pair_seen_both_ways, streams))
+    for stream in streams:
+        for alpha in (0.01, 0.7, 30.0):
+            assert np.array_equal(aggregate_weights(stream, alpha),
+                                  dense_aggregate_weights(stream, alpha))
+
+
 def test_smaller_alpha_larger_weights():
     stream = make_random_stream(2)
     w_small = aggregate_weights(stream, 0.1)
@@ -158,6 +186,16 @@ def test_propagator_rejects_negative_weights():
     w[0, 1] = -w[0, 1] - 1.0
     with pytest.raises(ValueError, match="negative off-diagonal weights"):
         aggregate_propagator(w, 1.0)
+
+
+@pytest.mark.parametrize("weights", [
+    np.ones((3, 2)),  # gave a 3 x 3 propagator
+    np.ones((2, 3)),
+    np.ones(3),
+], ids=["tall", "wide", "vector"])
+def test_propagator_rejects_non_square_weights(weights):
+    with pytest.raises(ValueError, match="square matrix"):
+        aggregate_propagator(weights, 1.0)
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])

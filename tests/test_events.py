@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -253,6 +254,23 @@ def test_edge_index_union_is_event_multiset():
     index = s.edge_event_index()
     all_times = sorted(t for times in index.values() for t in times)
     assert all_times == sorted(e.time for e in s.events)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_edges_index_the_distinct_edge_keys(directed):
+    for seed in range(10):
+        s = make_random_stream(seed, directed=directed)
+        codes, edge_of_event = s.edges
+        assert (np.diff(codes) > 0).all()
+        keys = [divmod(code, s.node_count) for code in codes.tolist()]
+        assert keys == list(s.edge_event_index())
+        assert len(codes) == stream_stats(s)["edges"]
+        assert [keys[e] for e in edge_of_event.tolist()] == [
+            s.edge_key(ev.source, ev.target) for ev in s.events]
+        assert not codes.flags.writeable and not edge_of_event.flags.writeable
+    # a b and b a are one edge unless directed
+    s = parse_events("0 a b\n1 b a\n2 a c", directed=directed)
+    assert s.edges[1].tolist() == ([0, 2, 1] if directed else [0, 0, 1])
 
 
 def test_unsorted_events_rejected():

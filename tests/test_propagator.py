@@ -10,7 +10,7 @@ from tiedyn.propagator import (degroot_run, degroot_transition,
                                ode_oracle, propagate)
 from tiedyn.tie_decay import intervals
 
-from conftest import make_random_stream
+from conftest import make_random_stream, pair_seen_both_ways
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -47,6 +47,16 @@ def test_factor_rejects_bad_inputs():
         interval_factor(L2, -1.0, 1.0)
     with pytest.raises(ValueError):
         interval_factor(L2, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("L", [
+    np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]),  # gave a 2 x 2 factor
+    np.array([[1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]]),
+    np.array([1.0, -1.0]),
+], ids=["wide", "tall", "vector"])
+def test_factor_rejects_a_non_square_laplacian(L):
+    with pytest.raises(ValueError, match="square matrix"):
+        interval_factor(L, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("L", [
@@ -230,6 +240,40 @@ def test_degroot_run_matches_brute_force_product():
         expected = expected @ B
     assert np.allclose(degroot_run(y0, s, alpha, dt, steps), expected,
                        atol=1e-12)
+
+
+def dense_degroot_run(y, stream, alpha, delta_t, steps):
+    """The dense walk that degroot_run replaced: an N x N tie matrix
+    decayed by a plain multiply, then bumped at each event's flat cell
+    ``i*N + j``, and at ``j*N + i`` too unless directed."""
+    n = stream.node_count
+    step_of = stream.times // delta_t
+    cells = stream.sources * n + stream.targets
+    if stream.directed:
+        cells = cells[:, None]
+    else:
+        cells = np.stack([cells, stream.targets * n + stream.sources], axis=1)
+    A_tilde = np.zeros((n, n))
+    decay = math.exp(-alpha * delta_t)
+    for k in range(steps):
+        A_tilde = A_tilde * decay
+        start, stop = np.searchsorted(step_of, (k, k + 1))
+        np.add.at(A_tilde.reshape(-1), cells[start:stop], 1.0)
+        y = y @ degroot_transition(A_tilde)
+    return y
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_degroot_run_equals_dense_walk_bitwise(directed):
+    streams = [make_random_stream(seed, n_max=5, max_events=40, directed=directed)
+               for seed in range(12)]
+    assert any(map(pair_seen_both_ways, streams))
+    for seed, stream in enumerate(streams):
+        y0 = np.random.default_rng(seed).normal(size=stream.node_count)
+        # from slow decay to weights far below the timeline's flush threshold
+        for alpha, delta_t, steps in ((0.05, 0.7, 80), (1.0, 3.0, 20), (30.0, 5.0, 12)):
+            assert np.array_equal(degroot_run(y0, stream, alpha, delta_t, steps),
+                                  dense_degroot_run(y0, stream, alpha, delta_t, steps))
 
 
 @pytest.mark.parametrize("seed", range(5))

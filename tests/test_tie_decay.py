@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tiedyn.events import group_event_times
-from tiedyn.tie_decay import apply_events, decay_to, event_cells, intervals, laplacian
+from tiedyn.events import group_event_times, parse_events
+from tiedyn.tie_decay import (apply_events, decay_to, intervals, laplacian,
+                              stream_ties, weight_matrix)
 
-from conftest import make_random_stream
+from conftest import make_random_stream, stream_from_rows
 
 
 def pair_weights(b01):
@@ -56,30 +57,38 @@ def test_decay_flushes_tiny_weights():
     assert np.all(w == 0.0)
 
 
+def ties_of(text, directed=False):
+    """``stream_ties`` of the stream parsed from ``text``."""
+    return stream_ties(parse_events(text, directed))
+
+
 def test_apply_empty_is_noop():
-    w = pair_weights(1.0)
-    apply_events(w, event_cells(np.array([], dtype=int), np.array([], dtype=int), 2, False))
-    assert np.array_equal(w, pair_weights(1.0))
+    ties, edge_of_event = ties_of("0 a b")
+    ties.weights[:] = 1.0
+    apply_events(ties.weights, edge_of_event[:0])
+    assert np.array_equal(weight_matrix(ties), pair_weights(1.0))
 
 
 def test_apply_undirected_bump():
-    w = np.zeros((2, 2))
-    apply_events(w, event_cells(np.array([0]), np.array([1]), 2, False))
+    ties, edge_of_event = ties_of("0 a b")
+    apply_events(ties.weights, edge_of_event)
+    w = weight_matrix(ties)
     assert w[0, 1] == 1.0
     assert w[1, 0] == 1.0
 
 
 def test_apply_directed_bump():
-    w = np.zeros((2, 2))
-    apply_events(w, event_cells(np.array([0]), np.array([1]), 2, True))
+    ties, edge_of_event = ties_of("0 a b", directed=True)
+    apply_events(ties.weights, edge_of_event)
+    w = weight_matrix(ties)
     assert w[0, 1] == 1.0
     assert w[1, 0] == 0.0
 
 
 def test_apply_simultaneous_events_add():
-    w = np.zeros((2, 2))
-    apply_events(w, event_cells(np.array([0, 0]), np.array([1, 1]), 2, False))
-    assert w[0, 1] == 2.0
+    ties, edge_of_event = ties_of("0 a b\n0 a b")
+    apply_events(ties.weights, edge_of_event)
+    assert weight_matrix(ties)[0, 1] == 2.0
 
 
 def two_call_apply(w, sources, targets, directed):
@@ -99,26 +108,21 @@ def test_apply_equals_two_call_kernel_bitwise(seed, directed):
     targets = (sources + rng.integers(1, n, 40)) % n
     sources[:5], targets[:5] = sources[5], targets[5]
     sources[6], targets[6] = targets[5], sources[5]
-    base = rng.random((n, n)) * rng.integers(0, 2, (n, n))
-    np.fill_diagonal(base, 0.0)
-    want, got = base.copy(), base.copy()
+    stream = stream_from_rows(zip(range(40), sources, targets), n, directed=directed)
+    ties, edge_of_event = stream_ties(stream)
+    ties.weights[:] = rng.random(len(ties.weights)) * rng.integers(0, 2, len(ties.weights))
+    want = weight_matrix(ties)
     two_call_apply(want, sources, targets, directed)
-    cells = event_cells(sources, targets, n, directed)
     for start, stop in ((0, 7), (7, 7), (7, 40)):
-        apply_events(got, cells[start:stop])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        apply_events(ties.weights, edge_of_event[start:stop])
+    assert np.array_equal(weight_matrix(ties).view(np.int64), want.view(np.int64))
 
 
-def test_event_cells_one_row_per_event():
-    cells = event_cells(np.array([0, 2]), np.array([1, 0]), 3, False)
-    assert cells.tolist() == [[1, 3], [6, 2]]
-    assert event_cells(np.array([0, 2]), np.array([1, 0]), 3, True).tolist() == [[1], [6]]
-
-
-def test_apply_rejects_a_strided_view():
-    w = np.zeros((4, 4))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        apply_events(w[:, ::2], np.array([[0]]))
+def test_apply_rejects_a_matrix():
+    # a 2-D array would be bumped a row at a time, without any error
+    w = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="one vector"):
+        apply_events(w, np.array([0]))
     assert not w.any()
 
 
