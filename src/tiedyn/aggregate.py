@@ -3,7 +3,8 @@
 The aggregate weight of an edge is the mean over [0, T] of its
 tie-decay weight. Each event at time t contributes
 (1/T) * integral_t^T e^{-alpha (x - t)} dx = (1 - e^{-alpha (T - t)}) / (alpha T),
-which is evaluated in closed form with expm1 for stability.
+which is evaluated in closed form with expm1 for stability, and as its
+limit (T - t) / T where alpha (T - t) or alpha T is subnormal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .events import EventStream
-from .propagator import _factor, _live_block
+from .propagator import _NORMAL_MIN, _factor, _live_block
 from .tie_decay import dense_ties, stream_ties, weight_matrix
 
 
@@ -24,10 +25,16 @@ def aggregate_weights(stream: EventStream, alpha: float) -> np.ndarray:
     T = stream.horizon
     if T <= 0:
         raise ValueError("aggregation needs a positive time horizon")
-    # math.expm1, not np.expm1: numpy's vectorized expm1 can differ in the
-    # last bit, and these weights feed the aggregate gap written to CSV
-    decay = (-alpha * (T - stream.times)).tolist()
-    contrib = -np.fromiter(map(math.expm1, decay), float, len(decay)) / (alpha * T)
+    span = T - stream.times
+    # the limit (T - t) / T, to within a relative alpha * T, where alpha * T
+    # or alpha * (T - t) is below the smallest normal double and has lost bits
+    contrib = span / T
+    if alpha * T >= _NORMAL_MIN:
+        # math.expm1, not np.expm1: numpy's vectorized expm1 can differ in
+        # the last bit, and these weights feed the aggregate gap written to CSV
+        decay = (-alpha * span).tolist()
+        closed = -np.fromiter(map(math.expm1, decay), float, len(decay)) / (alpha * T)
+        np.copyto(contrib, closed, where=alpha * span >= _NORMAL_MIN)
     # each edge sums its terms in event order
     ties, edge_of_event = stream_ties(stream)
     np.add.at(ties.weights, edge_of_event, contrib)

@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import deque
 from contextlib import closing, suppress
 from dataclasses import InitVar, dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .events import EventStream
 from .tie_decay import (Ties, apply_events, dense_ties, intervals, laplacian,
                         stream_ties, timeline, weight_matrix)
+
+if TYPE_CHECKING:  # a serial run does not import concurrent.futures
+    from concurrent.futures import Future
 
 
 def _eigh_lower(B: np.ndarray, signature: str | None = None
@@ -61,31 +65,25 @@ _DEAD_TIE = np.finfo(float).eps
 # propagate of a bench/gen.py StreamSpec(113, 1000, 2500, 500) stream at
 # alpha 0.01, medians of 5, took 1.02 s with syevd and 0.99 s with Taylor
 # on one CPU (faster in 2 of 5), and 0.76 against 0.90 s on two CPUs,
-# where the factor thread runs every other block (iter_factors).
+# where the factor thread then ran every other block (iter_factors).
 #
-# iter_factors also builds the blocks above the gate on its thread and its
-# factor thread in turn, with a CPU to spare. The factor thread's syevd and
-# GEMMs release the GIL, but a small block spends most of its time in numpy
-# calls that hold it. On 2 vCPUs with one BLAS thread, in
-# process, 11 alternating runs of bench/gen.py streams of 399 steps at alpha
-# 0.01, with every other block sent to the thread: median walk 0.070 ->
-# 0.108 s with live blocks of 32 nodes (slower in all 11), 0.110 -> 0.103 s
-# at 40 (faster in 6) and 0.148 -> 0.136 s at 48 (faster in 8). At 238 nodes
-# (bench/run.py's aggregate-large input) it took 0.74x the serial time,
-# median of 7. Measured again with the edge-list walk (bench/gen.py
-# StreamSpec(N, 4N, 1600, 400), alpha 0.01, every block of N nodes, 11
-# alternating runs): serial -> thread 42 -> 77 ms at N = 24 (faster in 0),
-# 81 -> 101 at 32 (3), 120 -> 115 at 40 (5), 220 -> 176 at 48 (10) and 245
-# -> 204 at 64 (10). With _taylor below _GEMM_MAX the thread lost at every
-# size up to the gate, and still paid above it (StreamSpec(N, 4N, max(1600,
-# 4N), 400), alpha 0.01, 7 alternating walks, no thread -> thread from 48
-# nodes): 0.157 -> 0.342 s at N = 48 (faster in 0), 0.271 -> 0.386 at 64
-# (0), 0.307 -> 0.434 at 80 (0), 0.516 -> 0.537 at 96 (2), 0.755 -> 0.620 at
-# 104 (7) and 0.730 -> 0.662 at 113 (6). Directed walks, on _taylor at every
-# size, gained from the thread above the gate too: 0.683 -> 0.609 s at N =
-# 113 and 1.383 -> 1.226 at 160 (faster in 7 of 7 each). Below it the
-# kernel's many short calls, each taking the GIL back, leave the two threads
-# waiting on each other.
+# iter_factors also queues every block above the gate on its factor thread,
+# with a CPU to spare, and takes back the queued blocks that the thread has
+# not started whenever it would wait for one (_in_order). The thread's syevd
+# and GEMMs release the GIL, but _taylor's many short numpy calls each take
+# it back, so below the gate the two threads mostly wait on each other.
+# scripts/helper_gate.py (bench/gen.py StreamSpec(N, 4N, max(1600, 4N),
+# 400), alpha 0.01, every block padded to N nodes, 7 alternating walks on 2
+# vCPUs with one BLAS thread; median seconds serial -> every block queued on
+# the thread, undirected and directed, the thread faster in n of 7):
+# N=48 0.105 -> 0.247 and 0.100 -> 0.244 (0, 0), 64 0.155 -> 0.255 and
+# 0.141 -> 0.235 (0, 0), 80 0.217 -> 0.281 and 0.207 -> 0.272 (0, 1), 96
+# 0.340 -> 0.292 and 0.318 -> 0.288 (7, 7), 113 0.612 -> 0.385 and 0.579 ->
+# 0.434 (7, 7), 160 1.170 -> 0.699 and 1.416 -> 0.824 (7, 7); the thread
+# built 227-265 of the 399 blocks, and every M was the serial one. So the
+# thread pays from 96 nodes and loses from 80 down. The gate stays at 96:
+# lowering it to reach 81-96 would also move those blocks to syevd, which
+# is slower there and changes their bits.
 _GEMM_MAX = 96
 
 
@@ -128,9 +126,12 @@ _TAYLOR = {m: _taylor_terms(m, p)
 _STACK_MAX = 24
 _STACK = 128
 
-# Factors, built or still on the thread, that the walk may hold ahead of the
-# product, beside the held stack window. A window of 8 was no faster on the
-# aggregate-large input (0.418 against 0.406 s, medians of 10).
+# Factors, built or still queued on the thread, that the walk may hold ahead
+# of the product, beside the held stack window. A window of 8 was no faster
+# on the aggregate-large input (0.418 against 0.406 s, medians of 10). With
+# blocks taken back, medians of 5 walks of that input in each of 3 rounds:
+# windows of 1, 2, 4 and 8 took 0.58-0.72, 0.46-0.53, 0.45-0.49 and
+# 0.44-0.54 s.
 _AHEAD = 4
 
 # True while a pool of experiments._map_tasks uses the CPUs: set in its
@@ -143,13 +144,66 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+class _Job(NamedTuple):
+    """A call queued on a helper thread: its ``future``, and the same
+    ``call`` to run here instead once ``future.cancel()`` takes it back
+    from the queue."""
+
+    future: Future
+    call: Callable[[], object]
+
+
+def _queue(executor, fn, *args) -> _Job:
+    """Queue ``fn(*args)`` on ``executor`` as a job this thread may take back."""
+    return _Job(executor.submit(fn, *args), partial(fn, *args))
+
+
+def _ran(call: Callable[[], object]) -> Future:
+    """A finished future that holds the result or error of ``call()``."""
+    from concurrent.futures import Future
+
+    future = Future()
+    try:
+        future.set_result(call())
+    except Exception as raised:
+        future.set_exception(raised)
+    return future
+
+
 def _in_order(items: Iterable, window: int) -> Iterator:
     """Yield ``items`` in order, a future (an item with a ``result`` method)
-    as its result, holding at most ``window`` items drawn beyond the one
-    yielded. A failed future raises its error in its place, and an error
-    that drawing ``items`` raises comes after the items before it, as in
-    a serial loop."""
+    or a job (``_Job``) as its result, holding at most ``window`` items drawn
+    beyond the one yielded. A failed future raises its error in its place,
+    and an error that drawing ``items`` raises comes after the items before
+    it, as in a serial loop.
+
+    This thread does not wait while work is queued: when the item to yield
+    next is a job no helper has started, it runs the job itself; while that
+    item is still running on a helper, it takes back the first held job that
+    no helper has started and runs it, again and again, and waits only when
+    there is none. A job taken back keeps its result or error until its
+    turn, so results and errors still come out in order.
+    """
     held, items, error = deque(), iter(items), None
+
+    def taken_back() -> bool:  # the first queued job, run here, if any
+        for k, item in enumerate(held):
+            if isinstance(item, _Job) and item.future.cancel():
+                held[k] = _ran(item.call)
+                return True
+        return False
+
+    def result(item):
+        if isinstance(item, _Job):
+            if item.future.cancel():
+                return item.call()
+            item = item.future
+        if not hasattr(item, "result"):
+            return item
+        while not item.done() and taken_back():
+            pass
+        return item.result()
+
     while True:
         try:
             held.append(next(items))
@@ -159,11 +213,9 @@ def _in_order(items: Iterable, window: int) -> Iterator:
             error = raised
             break
         if len(held) > window:
-            item = held.popleft()
-            yield item.result() if hasattr(item, "result") else item
+            yield result(held.popleft())
     while held:
-        item = held.popleft()
-        yield item.result() if hasattr(item, "result") else item
+        yield result(held.popleft())
     if error is not None:
         raise error
 
@@ -402,10 +454,17 @@ def _factor(idx: np.ndarray, A: np.ndarray, node_count: int) -> IntervalFactor:
     return next(_stacked([(idx, A)], node_count))
 
 
+# The smallest normal double. Below it a product keeps fewer than 53 bits.
+_NORMAL_MIN = sys.float_info.min
+
+
 def _decay_c(alpha: float, dt: float) -> float:
     """c = (e^{-alpha*dt} - 1)/alpha, with expm1: no cancellation for
-    small alpha * dt."""
-    return math.expm1(-alpha * dt) / alpha
+    small alpha * dt. Where alpha * dt is below the smallest normal double,
+    expm1 returns it with too few bits; c is then its limit -dt, to within
+    a relative alpha * dt / 2."""
+    x = alpha * dt
+    return math.expm1(-x) / alpha if x >= _NORMAL_MIN else -dt
 
 
 def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFactor:
@@ -452,28 +511,28 @@ def iter_factors(stream: EventStream, alpha: float,
     """Yield interval factors in time order up to ``upto``.
 
     The intervals, and the ``upto`` rule, are those of
-    ``tie_decay.timeline``; each interval's generator block is built here
-    from its live ties (``_live_block``), and goes by its own size. A block
-    of at most ``_STACK_MAX`` nodes is held, up to ``_STACK`` intervals, and
-    the held ones are built in stacks (``_stacked``). With a CPU to spare
-    (``_cpus``, and no pool of ``experiments._map_tasks`` running), the
-    blocks of more than ``_GEMM_MAX`` nodes alternate between this thread
-    and a factor thread, the first here. Every other block is built here
-    (``_factor``), after the held ones. The thread starts with its first
-    block and moves off this thread's CPU once. Factors come out in
-    interval order (``_in_order``), and so do their errors, the thread's
-    too. The thread is joined before this generator returns, raises or is
-    closed, so a caller that may stop early closes it
-    (``contextlib.closing``).
+    ``tie_decay.timeline``; each interval's generator block is built on this
+    thread from its live ties (``_live_block``), and goes by its own size. A
+    block of at most ``_STACK_MAX`` nodes is held, up to ``_STACK``
+    intervals, and the held ones are built in stacks (``_stacked``). With a
+    CPU to spare (``_cpus``, and no pool of ``experiments._map_tasks``
+    running), every block of more than ``_GEMM_MAX`` nodes is queued on one
+    factor thread, and this thread takes back the queued ones that the
+    factor thread has not started whenever it would wait for a factor
+    (``_in_order``). Every other block is built here (``_factor``), after
+    the held ones. The thread starts with its first block and moves off this
+    thread's CPU once. Factors come out in interval order, and so do their
+    errors, wherever they were built. The thread is joined before this
+    generator returns, raises or is closed, so a caller that may stop early
+    closes it (``contextlib.closing``).
     """
     spare = not _pool_busy and _cpus() > 1
     n = stream.node_count
     thread = None
 
-    def built():  # factors and the thread's futures, in interval order
+    def built():  # factors and the thread's jobs, in interval order
         nonlocal thread
         held = []  # stackable blocks, not yet built
-        here = False  # the last block above the gate was built here
         for _, dt, ties in timeline(stream, alpha, upto):
             idx, A = _live_block(ties, _decay_c(alpha, dt))
             if len(idx) <= _STACK_MAX:
@@ -484,13 +543,12 @@ def iter_factors(stream: EventStream, alpha: float,
                 continue
             yield from _stacked(held, n)
             held = []
-            # the blocks above the gate alternate, the first here
-            if spare and len(idx) > _GEMM_MAX and not (here := not here):
+            if spare and len(idx) > _GEMM_MAX:
                 if thread is None:
                     from concurrent.futures import ThreadPoolExecutor
                     thread = ThreadPoolExecutor(1, "tiedyn-factor", _move_off,
                                                 (_this_cpu(),))
-                yield thread.submit(_factor, idx, A, n)
+                yield _queue(thread, _factor, idx, A, n)
             else:
                 yield _factor(idx, A, n)
         yield from _stacked(held, n)

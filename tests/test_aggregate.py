@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,39 @@ def test_small_alpha_limit():
     w = aggregate_weights(s, 1e-8)
     T = s.horizon
     assert w[0, 1] == pytest.approx((T - 0) / T + (T - 3) / T, abs=1e-6)
+
+
+# (b, c) has one event at 0.37 and T = 1.7; (a, c)'s event is at T
+SUBNORMAL_STREAM = "0 a b\n0.37 b c\n1.7 a c\n"
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+def test_subnormal_alpha_gives_the_limit(alpha):
+    # alpha * (T - t) and alpha * T are subnormal, so every term is its
+    # limit (T - t) / T; expm1 and the division used to lose bits there
+    # (0.78233072 against 0.78235294 for (b, c) at 1e-320)
+    s = parse_events(SUBNORMAL_STREAM)
+    T = s.horizon
+    w = aggregate_weights(s, alpha)
+    assert w[0, 1] == w[1, 0] == 1.0
+    assert w[1, 2] == w[2, 1] == (T - 0.37) / T
+    assert w[0, 2] == 0.0
+
+
+def test_normal_products_keep_the_closed_form():
+    # at 1e-300 every product is normal: the terms are today's expm1 ones;
+    # at 1e-305 only the term of the event at T - 1e-4 goes to its limit
+    s = parse_events(SUBNORMAL_STREAM)
+    T = s.horizon
+    w = aggregate_weights(s, 1e-300)
+    assert w[0, 1] == -math.expm1(-1e-300 * T) / (1e-300 * T)
+    assert w[1, 2] == -math.expm1(-1e-300 * (T - 0.37)) / (1e-300 * T)
+    s = parse_events("0 a b\n1.6999 b c\n1.7 a c\n")
+    T = s.horizon
+    w = aggregate_weights(s, 1e-305)
+    assert 1e-305 * (T - 1.6999) < sys.float_info.min <= 1e-305 * T
+    assert w[0, 1] == -math.expm1(-1e-305 * T) / (1e-305 * T)
+    assert w[1, 2] == (T - 1.6999) / T
 
 
 def test_rejects_bad_inputs():

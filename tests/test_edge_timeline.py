@@ -174,9 +174,10 @@ def upto_points(stream):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """A CPU to spare: blocks of more than _GEMM_MAX nodes alternate
-    between this thread and the factor thread, so a walk takes the stacked,
-    the one-block and the thread's paths."""
+    """A CPU to spare: blocks of more than _GEMM_MAX nodes are queued on
+    the factor thread, and taken back by this thread where the factor
+    thread has not started them, so a walk takes the stacked, the
+    one-block and the thread's paths."""
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
 
 

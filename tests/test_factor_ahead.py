@@ -38,8 +38,8 @@ def on_thread():
 
 @pytest.fixture
 def helper_on(monkeypatch):
-    """Send every other interval of every walk in this process to the
-    factor thread, whatever its size, and record the alphas of the walks
+    """Queue every interval of every walk in this process on the factor
+    thread, whatever its size, and record the alphas of the walks
     that ``propagate`` and ``evolve_opinions`` started and the live-block
     sizes built on each side, as (on the thread, size). With the kernel
     gate and the stack bound below 0, every block, the empty one too, is
@@ -109,8 +109,8 @@ def interval_of(stream, alpha):
 @pytest.mark.parametrize("case", STREAMS)
 def test_helper_gives_the_serial_product(helper_on, monkeypatch, no_thread_left,
                                          case, min_live):
-    # blocks of min_live nodes and more alternate; at 6, blocks of up to 2
-    # nodes are stacked and those of 3 to 5 built alone
+    # blocks of min_live nodes and more are queued on the thread; at 6,
+    # blocks of up to 2 nodes are stacked and those of 3 to 5 built alone
     monkeypatch.setattr(propagator, "_GEMM_MAX", min_live - 1)
     monkeypatch.setattr(propagator, "_STACK_MAX", min(min_live, 3) - 1)
     stream = stream_of(case)
@@ -137,54 +137,117 @@ def test_helper_with_a_short_switch_interval(helper_on, no_thread_left):
     assert helper_on.threaded()
 
 
-def test_large_blocks_alternate_and_small_ones_stay(helper_on, monkeypatch,
-                                                    no_thread_left):
-    # each block goes by its own size: blocks of up to 2 nodes are stacked,
-    # also right after a large or a threaded block, blocks of 3 are built
-    # alone here, and the blocks of 4 nodes and more alternate between
-    # here and the thread, the first here
+def wait_until(condition, seconds=10.0):
+    """Poll ``condition`` until it holds; False if it did not in time."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def made_blocks(monkeypatch):
+    """Record every generator block the walk makes, in interval order, and
+    the thread it was made on; return the blocks and a function that finds
+    a block's interval by identity (some repeat an earlier one entry for
+    entry)."""
+    made, live_block = [], propagator._live_block
+
+    def recorded(ties, c):
+        assert not on_thread()
+        made.append(live_block(ties, c))
+        return made[-1]
+
+    monkeypatch.setattr(propagator, "_live_block", recorded)
+    return made, lambda A: next(k for k, (_, A_k) in enumerate(made) if A_k is A)
+
+
+def test_small_blocks_stay_and_large_ones_are_built_once(helper_on, monkeypatch,
+                                                         no_thread_left):
+    # each block goes by its own size: blocks of up to 2 nodes are stacked
+    # here, also right after a queued block, blocks of 3 are built alone
+    # here, and every block of 4 nodes and more is queued on the thread and
+    # built once, alone, there or here (taken back)
     monkeypatch.setattr(propagator, "_STACK_MAX", 2)
     monkeypatch.setattr(propagator, "_GEMM_MAX", 3)
-    # blocks in interval order, as the walk makes them; some repeat an
-    # earlier one entry for entry, so they are found by identity
-    made, stacked, alone = [], {}, {}
-    live_block, stack, factor = propagator._live_block, propagator._stacked, propagator._factor
-
-    def find(A):
-        return next(k for k, (_, A_k) in enumerate(made) if A_k is A)
+    stream = stream_of(STREAMS[0])
+    serial = serial_product(stream, 100.0)
+    made, find = made_blocks(monkeypatch)
+    stacked, alone = [], []  # (interval, on the thread), per build
+    stack, factor = propagator._stacked, propagator._factor
 
     def recorded_stack(blocks, n):
-        for _, A in blocks:
-            stacked[find(A)] = on_thread()
+        stacked.extend((find(A), on_thread()) for _, A in blocks)
         return stack(blocks, n)
 
     def recorded_factor(idx, A, n):  # builds through _stacked too
-        alone[find(A)] = on_thread()
+        alone.append((find(A), on_thread()))
         return factor(idx, A, n)
 
-    monkeypatch.setattr(propagator, "_live_block",
-                        lambda ties, c: made.append(live_block(ties, c)) or made[-1])
     monkeypatch.setattr(propagator, "_stacked", recorded_stack)
     monkeypatch.setattr(propagator, "_factor", recorded_factor)
-    propagate(stream_of(STREAMS[0]), 100.0)
+    assert np.array_equal(propagate(stream, 100.0).matrix, serial)
     sizes = [len(idx) for idx, _ in made]
-    assert sorted(stacked) == list(range(len(sizes)))
-    routes = ["stack" if k not in alone else "thread" if alone[k] else "here"
-              for k in range(len(sizes))]
-    assert not any(stacked[k] for k in range(len(sizes)) if routes[k] == "stack")
-    expected, here = [], False
-    for size in sizes:
-        if size <= 2:
-            expected.append("stack")
-        elif size == 3:
-            expected.append("here")
-        else:
-            here = not here
-            expected.append("here" if here else "thread")
-    assert routes == expected
+    assert sorted(k for k, _ in stacked) == list(range(len(sizes)))  # each once
+    assert sorted(stacked) == sorted(alone + [(k, False) for k, size in enumerate(sizes)
+                                              if size <= 2])
+    assert sorted(k for k, _ in alone) == [k for k, size in enumerate(sizes) if size > 2]
+    assert all(sizes[k] > 3 for k, side in alone if side)
+    routes = ["stack" if size <= 2 else "here" if size == 3 else "queued"
+              for size in sizes]
     after = set(zip(routes, routes[1:]))
-    assert {("here", "stack"), ("thread", "stack"), ("stack", "thread")} <= after
-    assert 10 < routes.count("thread") < routes.count("stack")
+    assert {("here", "stack"), ("queued", "stack"), ("stack", "queued")} <= after
+    assert 10 < routes.count("queued") < routes.count("stack")
+
+
+@pytest.mark.parametrize("share", ["every", "none", "some"])
+def test_helper_takes_every_block_none_or_some(helper_on, monkeypatch, no_thread_left,
+                                               share):
+    # gates decide which side builds each block: "every" lets the walk go
+    # on only once the thread has started each queued block, so nothing is
+    # left to take back; "none" holds the thread at its start until this
+    # thread has built every block; "some" holds the thread's first block
+    # until this thread has taken back two
+    stream = stream_of(STREAMS[0])
+    n_blocks = len(list(intervals(stream, 0.01)))
+    serial = serial_product(stream, 0.01)
+    made, find = made_blocks(monkeypatch)
+    built = []  # (interval, on the thread), per block
+    factor, queue, move_off = propagator._factor, propagator._queue, propagator._move_off
+
+    def here():
+        return sum(not side for _, side in built)
+
+    def gated_factor(idx, A, n):
+        built.append((find(A), on_thread()))
+        if share == "some" and on_thread() and len(built) - here() == 1:  # its first
+            assert wait_until(lambda: here() >= 2)
+        return factor(idx, A, n)
+
+    def gated_queue(executor, fn, *args):
+        job = queue(executor, fn, *args)
+        assert wait_until(lambda: job.future.running() or job.future.done())
+        return job
+
+    def gated_start(cpu):
+        wait_until(lambda: here() == n_blocks)
+        move_off(cpu)
+
+    monkeypatch.setattr(propagator, "_factor", gated_factor)
+    if share == "every":
+        monkeypatch.setattr(propagator, "_queue", gated_queue)
+    if share == "none":
+        monkeypatch.setattr(propagator, "_move_off", gated_start)
+    assert np.array_equal(propagate(stream, 0.01).matrix, serial)
+    assert sorted(k for k, _ in built) == list(range(n_blocks)) and len(made) == n_blocks
+    on_the_thread = n_blocks - here()
+    if share == "every":
+        assert on_the_thread == n_blocks
+    elif share == "none":
+        assert on_the_thread == 0
+    else:
+        assert 1 <= on_the_thread <= n_blocks - 2
 
 
 def test_helper_with_a_one_factor_window(helper_on, monkeypatch, no_thread_left):
@@ -208,27 +271,51 @@ def test_evolve_opinions_with_the_thread_is_serial(helper_on, no_thread_left):
 def failing_factors(monkeypatch, stream, alpha, failures):
     """Make ``_stacked`` raise ``ArithmeticError("factor k failed")`` in
     place of interval k of ``failures`` (after ``failures[k]`` seconds), on
-    whichever thread builds it, alone or in a stack."""
-    find, build = interval_of(stream, alpha), propagator._stacked
+    whichever thread builds it, alone or in a stack, and return the
+    intervals tried, as (interval, on the thread). A failure of None makes
+    the factor thread, where there is one, build interval k and hold it
+    until this thread has tried interval k + 1: the walk draws no later
+    interval until the thread has started every interval up to k, so this
+    thread then takes back interval k + 1."""
+    find, build, tried = interval_of(stream, alpha), propagator._stacked, []
+    held = [k for k, seconds in failures.items() if seconds is None]
 
     def failing(blocks, n):
         for (idx, A), fac in zip(blocks, build(blocks, n)):
             k = find(idx, A)
+            tried.append((k, on_thread()))
             if k in failures:
-                time.sleep(failures[k])
+                if failures[k] is not None:
+                    time.sleep(failures[k])
+                elif on_thread():
+                    assert wait_until(lambda: (k + 1, False) in tried)
                 raise ArithmeticError(f"factor {k} failed")
             yield fac
 
     monkeypatch.setattr(propagator, "_stacked", failing)
+    if held:
+        drawn, live_block = [], propagator._live_block
+
+        def gated(ties, c):
+            if propagator._cpus() > 1:
+                if len(drawn) <= held[0] + 1:
+                    assert wait_until(lambda: sum(side for _, side in tried) >= len(drawn))
+                drawn.append(1)
+            return live_block(ties, c)
+
+        monkeypatch.setattr(propagator, "_live_block", gated)
+    return tried
 
 
-# With every block above the gate the factor thread builds the odd intervals.
+# With every block queued on the factor thread, this thread takes back
+# whatever block the thread has not started when it would wait.
 @pytest.mark.parametrize("failures,expected", [
-    ({3: 0.3, 4: 0.0}, "factor 3 failed"),    # the thread's error, though last in time
-    ({4: 0.0, 7: 0.0}, "factor 4 failed"),    # this thread's error comes first
-    ({4: 0.3, 5: 0.0}, "factor 4 failed"),    # it stops the walk before interval 5
-    ({2: 0.3, 3: 0.0}, "factor 2 failed"),    # ... before the thread's second one
+    ({3: 0.3, 4: 0.0}, "factor 3 failed"),    # the later error comes first in time
+    ({4: 0.0, 7: 0.0}, "factor 4 failed"),
+    ({4: 0.3, 5: 0.0}, "factor 4 failed"),    # the walk goes on past interval 5
+    ({2: 0.3, 3: 0.0}, "factor 2 failed"),
     ({9: 0.0}, "factor 9 failed"),            # past a full window
+    ({3: None, 4: 0.0}, "factor 3 failed"),   # 4, taken back here, fails first
 ])
 def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
                                                          no_thread_left,
@@ -236,17 +323,21 @@ def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
     stream = stream_of(STREAMS[0])
     assert len(list(intervals(stream, 1.0))) > 20
     assert 9 > propagator._AHEAD
-    failing_factors(monkeypatch, stream, 1.0, failures)
+    tried = failing_factors(monkeypatch, stream, 1.0, failures)
     monkeypatch.setattr(propagator, "_cpus", lambda: 1)
     with pytest.raises(ArithmeticError) as serial:
         propagate(stream, 1.0)
     assert not helper_on.threaded()
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
+    tried.clear()
     with pytest.raises(ArithmeticError) as ahead:
         propagate(stream, 1.0)
     assert helper_on.served == [1.0, 1.0]
     assert str(ahead.value) == str(serial.value) == expected
     assert type(ahead.value) is ArithmeticError
+    if None in failures.values():  # 3 failed on the thread, after 4 here
+        assert tried.index((3, True)) < tried.index((4, False))
+        assert (4, True) not in tried
 
 
 def test_helper_is_stopped_when_the_product_fails(monkeypatch, helper_on, no_thread_left):
@@ -319,12 +410,23 @@ def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
                              out=str(tmp_path / "o.csv")))
     assert not log.exists()
     assert not propagator._pool_busy and experiments._task_fn is None
-    # without the pool, the time series walks with the thread
+    # without the pool, the time series walks with the thread; the walk
+    # goes on only once the thread has started each queued block, so the
+    # thread builds every one
+    queue = propagator._queue
+
+    def gated_queue(executor, fn, *args):
+        job = queue(executor, fn, *args)
+        assert wait_until(lambda: job.future.running() or job.future.done())
+        return job
+
+    monkeypatch.setattr(propagator, "_queue", gated_queue)
     monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     run(ExperimentConfig(input=str(events), mode="time_series", alphas=[1.0],
                          out=str(tmp_path / "o.csv")))
     n_intervals = len(list(intervals(stream_of(STREAMS[0]), 1.0)))
-    assert log.read_text().split() == [str(os.getpid())] * (n_intervals // 2)
+    assert log.exists(), "the walk built no block on the thread"
+    assert log.read_text().split() == [str(os.getpid())] * n_intervals
 
 
 def series_records(tmp_path, name):
@@ -389,7 +491,7 @@ def run_script(code, *args, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-# The factor thread on every other interval; prints the walks propagate
+# Every interval queued on the factor thread; prints the walks propagate
 # started, whether the thread built a factor and the threads left after the run.
 THREAD_ON = """
 import sys, threading

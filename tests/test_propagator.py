@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tiedyn.events import Event, EventStream, group_event_times, parse_events
+import tiedyn.propagator as propagator
 from tiedyn.propagator import (degroot_run, degroot_transition,
                                evolve_opinions, interval_factor, iter_factors,
                                ode_oracle, propagate)
@@ -38,6 +39,19 @@ def test_factor_small_alpha_no_cancellation():
     fac = interval_factor(L2, 1e-8, 1e-3)
     expected = np.eye(2) - 1e-8 * L2.T  # first-order expansion
     assert np.allclose(fac.matrix, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+def test_decay_term_at_subnormal_products_is_the_limit(alpha):
+    # alpha * dt is subnormal: c is its limit -dt; expm1 used to give
+    # -0.0998023715 at 1e-320 and -0.0 at 5e-324
+    assert propagator._decay_c(alpha, 0.1) == -0.1
+    assert propagator._decay_c(alpha, 0.0) == 0.0
+
+
+def test_decay_term_at_normal_products_is_unchanged():
+    for alpha, dt in ((1e-300, 0.1), (1e-300, 1e-6), (0.5, 3.0), (3e-308, 1.0)):
+        assert propagator._decay_c(alpha, dt) == math.expm1(-alpha * dt) / alpha
 
 
 def test_factor_rejects_bad_inputs():
