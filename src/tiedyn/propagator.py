@@ -5,8 +5,7 @@ the tie-decay Laplacian. Over an interval between event times the
 solution is a single matrix exponential (the interval factor), and the
 map from x(0) to x(t_n) is the left-to-right product of those factors.
 The discrete-time DeGroot model and its correspondence to the
-continuous dynamics live here as well, along with an independent RK4
-integrator used only to verify the matrix-exponential path.
+continuous dynamics live here as well.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .events import EventStream
-from .tie_decay import (Ties, apply_events, dense_ties, intervals, laplacian,
+from .tie_decay import (Ties, apply_events, dense_ties, laplacian, off_diagonal,
                         stream_ties, timeline, weight_matrix)
 
 if TYPE_CHECKING:  # a serial run does not import concurrent.futures
@@ -579,12 +578,14 @@ def propagate(stream: EventStream, alpha: float,
 
 
 def _opinions(x0: np.ndarray, stream: EventStream) -> np.ndarray:
-    """A float copy of ``x0``, which must hold one opinion per node."""
+    """A float copy of ``x0``, which must hold one finite opinion per node."""
     x = np.array(x0, dtype=float)
     if x.shape != (stream.node_count,):
         raise ValueError(
             f"opinion vector has shape {x.shape}, stream has N={stream.node_count}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("opinions must be finite")
     return x
 
 
@@ -594,43 +595,19 @@ def evolve_opinions(x0: np.ndarray, stream: EventStream, alpha: float,
     return _product(_opinions(x0, stream), stream, alpha, upto)
 
 
-def ode_oracle(x0: np.ndarray, stream: EventStream, alpha: float,
-               upto: float | None = None, step: float = 1e-4) -> np.ndarray:
-    """Integrate dx/dt = -x L(t)^T with classical RK4 at fixed step.
-
-    Within each inter-event interval the Laplacian decays continuously,
-    L(t) = L(t_prev+) e^{-alpha (t - t_prev)}. This path is independent
-    of the matrix-exponential propagator and exists for verification.
-    """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    x = _opinions(x0, stream)
-
-    def deriv(s: float, x: np.ndarray, LT: np.ndarray) -> np.ndarray:
-        # s is the time elapsed since the start of the interval
-        return -math.exp(-alpha * s) * (x @ LT)
-
-    for _, dt, L in intervals(stream, alpha, upto):
-        LT = L.T
-        s = 0.0
-        while s < dt:
-            h = min(step, dt - s)
-            k1 = deriv(s, x, LT)
-            k2 = deriv(s + h / 2, x + h / 2 * k1, LT)
-            k3 = deriv(s + h / 2, x + h / 2 * k2, LT)
-            k4 = deriv(s + h, x + h * k3, LT)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            s += h
-    return x
-
-
 # ---------------------------------------------------------------------------
 # DeGroot model
 
 
 def degroot_transition(weights: np.ndarray) -> np.ndarray:
     """Column-normalize tie weights; all-zero (isolated) columns become
-    identity columns, so those nodes keep their opinion."""
+    identity columns, so those nodes keep their opinion. ``weights`` must
+    pass the checks of ``off_diagonal``, and its diagonal (self-ties) must
+    be >= 0 too."""
+    weights = np.asarray(weights, dtype=float)
+    off_diagonal(weights)
+    if (weights.diagonal() < 0).any():
+        raise ValueError("negative self-weights")
     colsums = weights.sum(axis=0)
     B = np.eye(weights.shape[0])
     nz = colsums > 0

@@ -3,8 +3,7 @@
 Tie strengths decay as db/dt = -alpha*b between events and jump by 1
 when an event occurs on the pair. ``timeline`` walks a stream's event
 times once and keeps the strengths as one vector over the stream's
-distinct edges (``Ties``); ``intervals`` gives the dense Laplacian of
-every inter-event interval from it.
+distinct edges (``Ties``).
 """
 
 from __future__ import annotations
@@ -52,10 +51,9 @@ class Ties(NamedTuple):
     directed: bool
 
 
-def dense_ties(W: np.ndarray) -> Ties:
-    """The nonzero off-diagonal entries of the N x N weights ``W`` as
-    directed ties, in row-major order. ``W`` must be square, and its
-    entries finite and >= 0; the diagonal is not read."""
+def off_diagonal(W: np.ndarray) -> np.ndarray:
+    """A copy of the N x N weights ``W`` with a zero diagonal. ``W`` must be
+    square, its entries finite, and those off the diagonal >= 0."""
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"weights must be a square matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -64,6 +62,13 @@ def dense_ties(W: np.ndarray) -> Ties:
     np.fill_diagonal(W, 0.0)
     if (W < 0).any():
         raise ValueError("negative off-diagonal weights")
+    return W
+
+
+def dense_ties(W: np.ndarray) -> Ties:
+    """The nonzero off-diagonal entries of the N x N weights ``W``
+    (``off_diagonal``) as directed ties, in row-major order."""
+    W = off_diagonal(W)
     sources, targets = W.nonzero()
     return Ties(sources, targets, W[sources, targets], W.shape[0], True)
 
@@ -135,10 +140,3 @@ def timeline(stream: EventStream, alpha: float, upto: float | None = None
     if t_prev is not None and upto > t_prev:
         yield t_prev, upto - t_prev, ties
 
-
-def intervals(stream: EventStream, alpha: float, upto: float | None = None
-              ) -> Iterator[tuple[float, float, np.ndarray]]:
-    """Yield ``(t_start, dt, L)`` for each interval of ``timeline``, with
-    ``L`` the dense N x N Laplacian of its ties, a fresh array each time."""
-    for t_start, dt, ties in timeline(stream, alpha, upto):
-        yield t_start, dt, laplacian(weight_matrix(ties))

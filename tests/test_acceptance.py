@@ -24,8 +24,8 @@ from tiedyn.randomize import (interval_shuffle, random_edge_shuffle,
                               random_times, shuffle_time_stamps)
 from tiedyn.spectral import shrinkage_ratio, spectral_gap
 from tiedyn.experiments import ExperimentConfig, positive_slope_flags, run_alpha_sweep
-from tiedyn.tie_decay import intervals
 
+from conftest import dense_intervals, rk4_lockstep
 from test_aggregate import time_averaged_weights
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -96,53 +96,6 @@ def test_criterion_2_consensus_and_conservation():
            ok and elapsed < 10)
 
 
-def rk4_lockstep(cases, step):
-    """x(T) for each case (x0, stream, alpha) of dx/dt = -x L(t)^T, by
-    classical RK4, with every case integrated side by side in one batch.
-
-    As in ``propagator.ode_oracle``, each inter-event interval of length
-    ``dt`` is walked in steps ``h = min(step, dt - s)`` from ``s = 0``,
-    with the Laplacian decaying as ``L e^{-alpha s}``; only
-    ``tie_decay.intervals`` is shared with the matrix-exponential path.
-    Cases are padded to one node count and one step count: padded nodes
-    have no ties and padded steps have ``h = 0``, so neither moves x.
-    """
-    n = max(len(x0) for x0, _, _ in cases)
-    LT = [np.zeros((n, n))]  # generator 0 has no ties; padded steps use it
-    schedules = []  # per case and step: generator index, offset s, length h
-    for x0, stream, alpha in cases:
-        gen, s, h = [], [], []
-        for _, dt, L in intervals(stream, alpha):
-            LT.append(np.zeros((n, n)))
-            LT[-1][:len(x0), :len(x0)] = L.T
-            offsets = np.arange(math.ceil(dt / step)) * step
-            gen += [len(LT) - 1] * len(offsets)
-            s += list(offsets)
-            h += list(np.clip(dt - offsets, 0.0, step))
-        schedules.append((gen, s, h))
-    width = max(len(gen) for gen, _, _ in schedules)
-    gen, s, h = (np.array([sched[i] + [0] * (width - len(sched[i]))
-                           for sched in schedules]) for i in range(3))
-    alpha = np.array([[a] for _, _, a in cases])
-    e0, e1, e2 = (np.exp(-alpha * (s + f * h)) for f in (0.0, 0.5, 1.0))
-    LT = np.array(LT)
-    x = np.zeros((len(cases), n))
-    for b, (x0, _, _) in enumerate(cases):
-        x[b, :len(x0)] = x0
-
-    def deriv(e, y, A):
-        return -e[:, None] * (y[:, None, :] @ A)[:, 0, :]
-
-    for k in range(width):
-        A, hk = LT[gen[:, k]], h[:, k, None]
-        k1 = deriv(e0[:, k], x, A)
-        k2 = deriv(e1[:, k], x + hk / 2 * k1, A)
-        k3 = deriv(e1[:, k], x + hk / 2 * k2, A)
-        k4 = deriv(e2[:, k], x + hk * k3, A)
-        x = x + hk / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return [x[b, :len(x0)] for b, (x0, _, _) in enumerate(cases)]
-
-
 def test_criterion_3_ode_oracle():
     start = time.time()
     cases = []
@@ -173,7 +126,7 @@ def test_criterion_4_degroot_correspondence():
         via_m = x0 @ propagate(stream, alpha, upto=upto).matrix
         # product of the discrete-time transitions along the event times
         y = x0.copy()
-        for (t, _, L), t_next in zip(intervals(stream, alpha, upto), times[1:]):
+        for (t, _, L), t_next in zip(dense_intervals(stream, alpha, upto), times[1:]):
             y = y @ interval_factor(L, t_next - t, alpha).matrix
         ok &= np.max(np.abs(via_m - y)) <= 1e-8
     report(4, "DeGroot correspondence", ok)

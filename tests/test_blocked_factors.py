@@ -22,9 +22,9 @@ from tiedyn.propagator import (IntervalFactor, _deflated_eigh, _expm, _taylor,
                                evolve_opinions, interval_factor, iter_factors,
                                propagate)
 from tiedyn.spectral import DegenerateFiedlerError, shrinkage_ratio, spectral_gap
-from tiedyn.tie_decay import intervals, laplacian
+from tiedyn.tie_decay import laplacian
 
-from conftest import heavy_edge_laplacian, make_random_stream
+from conftest import dense_intervals, heavy_edge_laplacian, make_random_stream
 
 ALPHAS = np.geomspace(1e-3, 1e3, 7)
 TOL = 1e-12
@@ -32,7 +32,7 @@ TOL = 1e-12
 
 def reference_factors(stream, alpha, upto=None):
     return [scipy.linalg.expm(math.expm1(-alpha * dt) / alpha * L.T)
-            for _, dt, L in intervals(stream, alpha, upto)]
+            for _, dt, L in dense_intervals(stream, alpha, upto)]
 
 
 def reference_product(stream, alpha, upto=None):
@@ -193,7 +193,7 @@ def test_one_expm_call_per_factor(monkeypatch):
 
     monkeypatch.setattr(propagator, "_expm", counted)
     stream = sparse_stream(0)  # live sets of several separate pairs
-    for _, dt, L in intervals(stream, 1.0):
+    for _, dt, L in dense_intervals(stream, 1.0):
         calls.clear()
         fac = interval_factor(L, dt, 1.0)
         assert calls == ([len(fac.idx)] if len(fac.idx) else [])

@@ -1,72 +1,35 @@
 """The edge-list walk against the dense walk it replaced, bit for bit.
 
 The reference is the dense N x N walk: the whole weight matrix decayed
-and bumped per event time, a fresh dense Laplacian per interval, and the
-live block cut out of the masked N x N generator ``c L^T``. It is kept
-here as an oracle, and exponentiates each block alone through the
-kernels' dispatch ``propagator._expm``. ``M`` of ``propagate``, ``x0 @
-M`` of ``evolve_opinions`` and every time-series snapshot must equal it
-exactly (``np.array_equal``), on small random streams and on the four
-seed-101 inputs of ``bench/gen.py``. The stacked kernel must give each
-block of a stack as it gives the block alone, and a failing block of a
-stack must raise in interval order.
+and bumped per event time, a fresh dense Laplacian per interval
+(``dense_intervals`` of conftest), and the live block cut out of the
+masked N x N generator ``c L^T``. It exponentiates each block alone
+through the kernels' dispatch ``propagator._expm``. ``M`` of
+``propagate``, ``x0 @ M`` of ``evolve_opinions`` and every time-series
+snapshot must equal it exactly (``np.array_equal``), on small random
+streams and on the four seed-101 inputs of ``bench/gen.py``. The stacked
+kernel must give each block of a stack as it gives the block alone, and
+a failing block of a stack must raise in interval order.
 """
 
 import hashlib
-import importlib
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tiedyn.experiments as experiments
 import tiedyn.propagator as propagator
-from conftest import make_random_stream
-from tiedyn.events import exclude_low_degree_nodes, group_event_times, parse_events
+from conftest import STREAMS, dense_intervals, load_bench, stream_of, upto_points
 from tiedyn.experiments import ExperimentConfig, run_time_series
 from tiedyn.propagator import evolve_opinions, iter_factors, propagate
 from tiedyn.tie_decay import timeline
 
-BENCH = Path(__file__).parents[1] / "bench"
 ALPHAS = [0.01, 1.0, 100.0]
-# tests/test_factor_ahead.py's STREAMS: (seed, n_max, max_events, directed)
-STREAMS = [(4, 12, 120, False), (0, 5, 14, False), (5, 12, 120, True)]
 
 
 # ---------------------------------------------------------------------------
-# the dense reference walk
-
-
-def dense_intervals(stream, alpha, upto=None):
-    """(dt, L) per interval, from one dense weight matrix decayed and
-    bumped in place."""
-    n = stream.node_count
-    if upto is None:
-        upto = stream.horizon
-    w = np.zeros((n, n))
-    cells = stream.sources * n + stream.targets
-    cells = cells[:, None] if stream.directed else np.stack(
-        [cells, stream.targets * n + stream.sources], axis=1)
-    t_prev = None
-    for t_g, start, stop in group_event_times(stream):
-        if t_g > upto or (t_prev is not None and t_g >= upto):
-            break
-        if t_prev is not None:
-            yield t_g - t_prev, dense_laplacian(w)
-            w *= np.exp(-alpha * (t_g - t_prev))
-            w[w < 1e-300] = 0.0
-        np.add.at(w.reshape(-1), cells[start:stop], 1.0)
-        t_prev = t_g
-    if t_prev is not None and upto > t_prev:
-        yield upto - t_prev, dense_laplacian(w)
-
-
-def dense_laplacian(w):
-    L = -w
-    np.fill_diagonal(L, w.sum(axis=1))
-    return L
+# the dense reference walk: conftest's dense_intervals, and its factors
 
 
 def dense_expm(A):
@@ -118,7 +81,7 @@ def dense_walk(case, alpha, upto):
     if key not in _dense:
         stream = stream_of(case)
         M, x, rows = np.eye(stream.node_count), np.linspace(-1.0, 1.0, stream.node_count), []
-        for dt, L in dense_intervals(stream, alpha, upto):
+        for _, dt, L in dense_intervals(stream, alpha, upto):
             idx, Y = dense_factor(L, dt, alpha)
             rows.append(digest(M, idx, Y))
             dense_apply(M, idx, Y)
@@ -127,49 +90,10 @@ def dense_walk(case, alpha, upto):
     return _dense[key]
 
 
-# ---------------------------------------------------------------------------
-# the streams
-
-
-def load_bench(name):
-    """A module of bench/, imported without writing bytecode next to it."""
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(BENCH))
-        sys.dont_write_bytecode = saved
-
-
-def bench_stream(workload):
-    """The seed-101 input of a bench/run.py workload, as the CLI loads it."""
-    spec = load_bench("run").WORKLOADS[workload]
-    stream = parse_events(load_bench("gen").make_stream(spec.spec, 101).text())
-    return exclude_low_degree_nodes(stream, spec.min_edges) if spec.min_edges else stream
-
-
+# the random streams and the bench/gen.py inputs (conftest's stream_of)
 BENCH_INPUTS = ["sweep-fast-decay", "ensemble-slow-decay", "timeseries", "aggregate-large"]
-CASES = [*(f"random-{k}" for k in range(len(STREAMS))), *BENCH_INPUTS]
-_streams = {}
-
-
-def stream_of(case):
-    if case not in _streams:
-        if case.startswith("random-"):
-            seed, n_max, max_events, directed = STREAMS[int(case.split("-")[1])]
-            _streams[case] = make_random_stream(seed, n_max=n_max, max_events=max_events,
-                                                directed=directed)
-        else:
-            _streams[case] = bench_stream(case)
-    return _streams[case]
-
-
-def upto_points(stream):
-    """No upto, an event time in the middle, and a point inside an interval."""
-    times = np.unique(stream.times)
-    mid = len(times) // 2
-    return [None, float(times[mid]), float((times[mid] + times[mid + 1]) / 2)]
+CASES = [*STREAMS, *BENCH_INPUTS]
+CASE_IDS = [*(f"random-{k}" for k in range(len(STREAMS))), *BENCH_INPUTS]
 
 
 @pytest.fixture
@@ -186,7 +110,7 @@ def cpus(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_propagate_is_the_dense_walk(case, alpha, cpus):
     stream = stream_of(case)
     x0 = np.linspace(-1.0, 1.0, stream.node_count)
@@ -198,7 +122,7 @@ def test_propagate_is_the_dense_walk(case, alpha, cpus):
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_time_series_snapshots_are_the_dense_walk(case, alpha, cpus, monkeypatch):
     # every row's M(t_n) and following factor, as run_time_series hands them
     # to _series_row, with the pool off so the rows stay in this process
@@ -299,7 +223,7 @@ def stacked_walk(monkeypatch):
     in order."""
     monkeypatch.setattr(propagator, "_cpus", lambda: 1)
     monkeypatch.setattr(propagator, "_STACK", 64)
-    stream = stream_of("random-0")
+    stream = stream_of(STREAMS[0])
     blocks = []
     for _, dt, ties in timeline(stream, 1.0):
         blocks.append(propagator._live_block(ties, propagator._decay_c(1.0, dt)))

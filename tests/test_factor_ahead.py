@@ -17,19 +17,16 @@ import pytest
 import tiedyn
 import tiedyn.experiments as experiments
 import tiedyn.propagator as propagator
-from conftest import make_random_stream
+from conftest import STREAMS, dense_intervals, stream_of, upto_points
 from tiedyn.events import serialize_events
 from tiedyn.experiments import ExperimentConfig, run
 from tiedyn.propagator import evolve_opinions, interval_factor, propagate
 from tiedyn.spectral import SpectralError
-from tiedyn.tie_decay import intervals, timeline
+from tiedyn.tie_decay import timeline
 
 SRC = str(Path(tiedyn.__file__).parents[1])
 BENCH = str(Path(__file__).parents[1] / "bench")
 ALPHAS = [0.01, 1.0, 100.0]
-# (seed, n_max, max_events, directed): undirected streams of 101 and 9
-# intervals, and a directed one of 88
-STREAMS = [(4, 12, 120, False), (0, 5, 14, False), (5, 12, 120, True)]
 
 
 def on_thread():
@@ -72,7 +69,8 @@ def no_thread_left():
 
 
 def serial_factors(stream, alpha, upto=None):
-    return [interval_factor(L, dt, alpha) for _, dt, L in intervals(stream, alpha, upto)]
+    return [interval_factor(L, dt, alpha)
+            for _, dt, L in dense_intervals(stream, alpha, upto)]
 
 
 def serial_product(stream, alpha, upto=None, M=None):
@@ -81,18 +79,6 @@ def serial_product(stream, alpha, upto=None, M=None):
     for fac in serial_factors(stream, alpha, upto):
         fac.apply(M)
     return M
-
-
-def stream_of(case):
-    seed, n_max, max_events, directed = case
-    return make_random_stream(seed, n_max=n_max, max_events=max_events, directed=directed)
-
-
-def upto_points(stream):
-    """No upto, an event time in the middle, and a point inside an interval."""
-    times = np.unique(stream.times)
-    mid = len(times) // 2
-    return [None, float(times[mid]), float((times[mid] + times[mid + 1]) / 2)]
 
 
 def interval_of(stream, alpha):
@@ -210,7 +196,7 @@ def test_helper_takes_every_block_none_or_some(helper_on, monkeypatch, no_thread
     # thread has built every block; "some" holds the thread's first block
     # until this thread has taken back two
     stream = stream_of(STREAMS[0])
-    n_blocks = len(list(intervals(stream, 0.01)))
+    n_blocks = len(list(dense_intervals(stream, 0.01)))
     serial = serial_product(stream, 0.01)
     made, find = made_blocks(monkeypatch)
     built = []  # (interval, on the thread), per block
@@ -321,7 +307,7 @@ def test_helper_raises_the_first_error_in_interval_order(monkeypatch, helper_on,
                                                          no_thread_left,
                                                          failures, expected):
     stream = stream_of(STREAMS[0])
-    assert len(list(intervals(stream, 1.0))) > 20
+    assert len(list(dense_intervals(stream, 1.0))) > 20
     assert 9 > propagator._AHEAD
     tried = failing_factors(monkeypatch, stream, 1.0, failures)
     monkeypatch.setattr(propagator, "_cpus", lambda: 1)
@@ -424,7 +410,7 @@ def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
     monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     run(ExperimentConfig(input=str(events), mode="time_series", alphas=[1.0],
                          out=str(tmp_path / "o.csv")))
-    n_intervals = len(list(intervals(stream_of(STREAMS[0]), 1.0)))
+    n_intervals = len(list(dense_intervals(stream_of(STREAMS[0]), 1.0)))
     assert log.exists(), "the walk built no block on the thread"
     assert log.read_text().split() == [str(os.getpid())] * n_intervals
 
@@ -610,7 +596,7 @@ def test_traced_run_with_helper_is_sound(tmp_path):
 
     # one laplacian per interval inside propagate, every one of them (and
     # the aggregate propagator's) on the main thread
-    n_intervals = len(list(intervals(stream, 0.01)))
+    n_intervals = len(list(dense_intervals(stream, 0.01)))
     walk = [span for span in spans if span[0] == "tie_decay.laplacian" and in_propagate(span)]
     assert len(walk) == n_intervals
     assert laplacians == f"{sum(span[0] == 'tie_decay.laplacian' for span in spans)} False"

@@ -8,10 +8,10 @@ from tiedyn.events import Event, EventStream, group_event_times, parse_events
 import tiedyn.propagator as propagator
 from tiedyn.propagator import (degroot_run, degroot_transition,
                                evolve_opinions, interval_factor, iter_factors,
-                               ode_oracle, propagate)
-from tiedyn.tie_decay import intervals
+                               propagate)
 
-from conftest import make_random_stream, pair_seen_both_ways
+from conftest import (dense_intervals, make_random_stream, pair_seen_both_ways,
+                      rk4_lockstep)
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -134,7 +134,7 @@ def test_propagate_factor_associativity(seed):
     full = propagate(stream, alpha)
     head = propagate(stream, alpha, upto=mid)
     tail = np.eye(stream.node_count)
-    for t_start, dt, L in intervals(stream, alpha):
+    for t_start, dt, L in dense_intervals(stream, alpha):
         if t_start >= mid:
             tail = tail @ interval_factor(L, dt, alpha).matrix
     assert np.allclose(head.matrix @ tail, full.matrix, atol=1e-10)
@@ -165,6 +165,11 @@ def test_two_node_long_time_limit():
     assert np.allclose(x, [a, 1 - a], atol=1e-10)
 
 
+def ode_oracle(x0, stream, alpha, upto=None, step=1e-4):
+    """x(upto) of the one case ``(x0, stream, alpha)`` by conftest's RK4."""
+    return rk4_lockstep([(x0, stream, alpha)], step, upto)[0]
+
+
 def test_ode_oracle_zero_laplacian():
     s = parse_events("0 a b")
     # after full decay the Laplacian is ~0; opinions barely move far out
@@ -180,8 +185,6 @@ def test_ode_oracle_rejects_bad_step(two_node_stream):
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
 def test_ode_oracle_step_must_be_positive_and_finite(two_node_stream, step):
-    # a NaN step used to return NaN opinions, an infinite one to take one
-    # RK4 step per interval
     with pytest.raises(ValueError, match="step must be positive and finite"):
         ode_oracle(np.zeros(2), two_node_stream, 1.0, step=step)
 
@@ -215,6 +218,19 @@ def test_degroot_transition_isolated_column():
     tr = degroot_transition(w)
     assert np.allclose(tr.sum(axis=0), 1.0)
     assert np.array_equal(tr[:, 2], [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("weights,message", [
+    ([[0.0, -1.0], [1.0, 0.0]], "negative off-diagonal weights"),  # gave an identity column
+    ([[-1.0, 1.0], [1.0, 0.0]], "negative self-weights"),
+    ([[0.0, math.nan], [1.0, 0.0]], "nonfinite weights"),
+    ([[0.0, 1.0], [math.inf, 0.0]], "nonfinite weights"),
+    ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], "square matrix"),
+    ([1.0, 1.0], "square matrix"),
+], ids=["negative", "negative-self", "nan", "inf", "wide", "vector"])
+def test_degroot_transition_rejects_bad_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        degroot_transition(weights)
 
 
 def test_degroot_run_zero_steps():
@@ -340,12 +356,16 @@ OPINION_RUNS = {
 @pytest.mark.parametrize("text", ["0 a b\n0 b c", "0 a b\n1 b c\n2 a c"],
                          ids=["no-interval", "two-intervals"])
 @pytest.mark.parametrize("x0", [np.zeros(7), np.zeros(2), np.zeros((2, 3)),
-                                np.zeros((3, 1)), np.float64(1.0)],
-                         ids=["length-7", "length-2", "2x3", "3x1", "scalar"])
+                                np.zeros((3, 1)), np.float64(1.0),
+                                np.array([1.0, math.nan, 0.0]),
+                                np.array([math.inf, 0.0, -math.inf])],
+                         ids=["length-7", "length-2", "2x3", "3x1", "scalar", "nan", "inf"])
 @pytest.mark.parametrize("name", OPINION_RUNS)
 def test_opinion_vector_must_hold_one_opinion_per_node(name, x0, text):
+    # a NaN or infinite opinion gave all-NaN opinions
     s = parse_events(text)
-    message = f"opinion vector has shape {np.shape(x0)}, stream has N=3"
+    message = (f"opinion vector has shape {np.shape(x0)}, stream has N=3"
+               if np.shape(x0) != (3,) else "opinions must be finite")
     with pytest.raises(ValueError, match=re.escape(message)):
         OPINION_RUNS[name](x0, s)
     # a right vector is copied, not changed in place

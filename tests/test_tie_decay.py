@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tiedyn.events import group_event_times, parse_events
-from tiedyn.tie_decay import (apply_events, decay_to, intervals, laplacian,
-                              stream_ties, weight_matrix)
+from tiedyn.tie_decay import (apply_events, decay_to, laplacian, stream_ties,
+                              timeline, weight_matrix)
 
-from conftest import make_random_stream, stream_from_rows
+from conftest import dense_intervals, make_random_stream, stream_from_rows
 
 
 def pair_weights(b01):
@@ -135,36 +135,24 @@ def test_laplacian_two_node():
     assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-def _evolve(stream, alpha):
-    """Reference walk, a fresh weight matrix per event time: decay by
-    e^{-alpha dt} with weights below 1e-300 flushed to zero, then add 1
-    per event. Yields (t, weights) after the events at each time."""
-    w = np.zeros((stream.node_count, stream.node_count))
-    t_prev = None
-    for t, start, stop in group_event_times(stream):
-        w = w.copy()
-        if t_prev is not None:
-            w *= np.exp(-alpha * (t - t_prev))
-            w[w < 1e-300] = 0.0
-        for ev in stream.events[start:stop]:
-            w[ev.source, ev.target] += 1.0
-            if not stream.directed:
-                w[ev.target, ev.source] += 1.0
-        t_prev = t
-        yield t, w
+def timeline_laplacians(stream, alpha, upto=None):
+    """``(t_start, dt, L)`` per interval of ``timeline``, with ``L`` the
+    dense Laplacian of its ties."""
+    return [(t, dt, laplacian(weight_matrix(ties)))
+            for t, dt, ties in timeline(stream, alpha, upto)]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_laplacian_row_sums_zero(seed):
     stream = make_random_stream(seed)
-    for _, _, L in intervals(stream, alpha=0.5):
+    for _, _, L in timeline_laplacians(stream, 0.5):
         assert np.max(np.abs(L.sum(axis=1))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_undirected_symmetry_preserved(seed):
     stream = make_random_stream(seed)
-    for _, _, L in intervals(stream, alpha=2.0):
+    for _, _, L in timeline_laplacians(stream, 2.0):
         assert np.array_equal(L, L.T)
 
 
@@ -189,14 +177,12 @@ def _recursion_laplacians(stream, alpha):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_laplacian_recursion_equivalence(seed):
-    # compare the recursion with the Laplacian derived from the
-    # weight-matrix path, and with every L the shared timeline yields
+    # compare the recursion with every interval of the timeline, up to the
+    # horizon and to points before, at and past it; the last case's final
+    # interval holds the horizon's events
     alpha = 0.3
     stream = make_random_stream(seed, max_events=10)
     rec = dict(_recursion_laplacians(stream, alpha))
-    states = list(_evolve(stream, alpha))
-    L_direct = laplacian(states[-1][1])
-    assert np.max(np.abs(rec[stream.horizon] - L_direct)) < 1e-12
 
     times = list(rec)
     k = len(times) // 2
@@ -208,7 +194,7 @@ def test_laplacian_recursion_equivalence(seed):
         (times[-1] + 2.5, times),                  # partial past the horizon
     ]
     for upto, starts in cases:
-        yielded = list(intervals(stream, alpha, upto))
+        yielded = timeline_laplacians(stream, alpha, upto)
         assert [t for t, _, _ in yielded] == starts
         end = stream.horizon if upto is None else upto
         ends = [*starts[1:], end][:len(starts)]
@@ -223,25 +209,16 @@ def test_intervals_match_state_walk_bitwise(seed, directed):
     # the in-place walk writes the same weights as the reference walk
     alpha = 0.7
     stream = make_random_stream(seed, directed=directed)
-    states = list(_evolve(stream, alpha))
-    yielded = list(intervals(stream, alpha))
-    assert len(yielded) == len(states) - 1
-    for (t, _, L), (t_state, w) in zip(yielded, states):
-        assert t == t_state
-        assert np.array_equal(L, laplacian(w))
-
-
-def test_intervals_yield_fresh_arrays():
-    stream = make_random_stream(3)
-    Ls = [L for _, _, L in intervals(stream, 0.5)]
-    assert len(Ls) > 2
-    for a in range(len(Ls)):
-        for b in range(a + 1, len(Ls)):
-            assert not np.shares_memory(Ls[a], Ls[b])
+    expected = list(dense_intervals(stream, alpha))
+    yielded = timeline_laplacians(stream, alpha)
+    assert len(yielded) == len(expected)
+    for (t, dt, L), (t_ref, dt_ref, L_ref) in zip(yielded, expected):
+        assert (t, dt) == (t_ref, dt_ref)
+        assert np.array_equal(L, L_ref)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
 def test_intervals_reject_bad_alpha(alpha):
     stream = make_random_stream(0)
     with pytest.raises(ValueError, match="alpha"):
-        next(intervals(stream, alpha))
+        next(timeline(stream, alpha))
