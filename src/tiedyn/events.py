@@ -10,6 +10,7 @@ that the first event occurs at t = 0.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -244,7 +245,7 @@ def exclude_low_degree_nodes(stream: EventStream, min_edges: int) -> EventStream
     columns are masked once. Survivors are reindexed densely and keep
     their labels. When nothing drops, ``stream`` itself is returned.
     """
-    if min_edges < 0:
+    if operator.index(min_edges) < 0:
         raise ValueError("min_edges must be >= 0")
     n = stream.node_count
     codes = stream.edges[0]

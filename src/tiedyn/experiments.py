@@ -34,22 +34,6 @@ from .spectral import (DefectiveEigenpairError, DegenerateFiedlerError,
 
 SLOPE_DEAD_BAND = 1e-9
 
-# The pool runs only for at least this much work: interval steps (one per
-# interval and alpha, summed over tasks) times the node count (_walk_work).
-# A two-worker fork pool costs about 20 ms to start. On 2 vCPUs with one
-# BLAS thread, it broke even with the serial loop near 6,000-8,000, on
-# streams of N = 8-64 nodes with 2-5 tasks: 1.1-4x slower below, 0.7-0.8x
-# from 12,000 up. The margin covers tasks of unequal cost, such as one
-# slow-decay alpha beside a fast one. Measured again with the edge-list walk
-# (run_alpha_sweep, 3 alphas, N = 8-64, medians of 7): at alphas 1-100 the
-# pool took 1.2-2.0x the serial time up to 67,200 and 0.7-0.8x from 76,800;
-# at 0.01-0.1 1.1-1.7x up to 67,200 (the parent: 1.0-1.4x) except 0.68x at
-# N = 64, and 0.6x from 76,800. Its two workers ran on one CPU in these short
-# runs (CHANGES.md). The time series, whose rows' eigen-analysis outweighs
-# the walk, still gains at 25,536 (bench/run.py's timeseries input: 497 ->
-# 417 ms, faster in 5 of 7), so the value stays.
-_POOL_MIN_WORK = 20_000
-
 # Time-series rows per pool task. On the timeseries input of bench/gen.py
 # (N = 64, 400 rows, alpha 1), in process on 2 vCPUs with one BLAS thread,
 # medians of 10 runs in each of 3 rounds: the serial loop took 0.42-0.61 s;
@@ -77,6 +61,9 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("ensemble", "seed", "min_edges"):  # what operator.index takes
+            if not hasattr(type(getattr(self, name)), "__index__"):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.ensemble < 1:
             raise ValueError("ensemble size must be >= 1")
         if self.min_edges < 0:
@@ -173,12 +160,6 @@ def positive_slope_flags(alphas: list[float], gaps: list[float]) -> list[bool]:
     return flags
 
 
-def _walk_work(stream: EventStream) -> int:
-    """The work of one walk over ``stream`` at one alpha, in the unit of
-    ``_POOL_MIN_WORK``: its interval steps times its node count."""
-    return int(np.count_nonzero(np.diff(stream.times))) * stream.node_count
-
-
 _task_fn = None  # the running pool's fn, set before its workers fork
 
 
@@ -186,21 +167,21 @@ def _run_task(task):
     return _task_fn(task)
 
 
-def _map_tasks(fn, tasks: Iterable, work: int, count: int | None = None) -> list:
-    """``[fn(task) for task in tasks]``, on every CPU when that pays.
+def _map_tasks(fn, tasks: Iterable, count: int | None = None) -> list:
+    """``[fn(task) for task in tasks]``, on every CPU.
 
     ``count`` is the number of tasks, needed when ``tasks`` has no length.
-    With more than one task and CPU and at least ``_POOL_MIN_WORK`` work,
-    the tasks run in a pool of ``min(CPUs, tasks)`` forked workers (every
-    system with an affinity mask, ``_cpus``, has ``fork``). ``fn`` and the
-    stream it closes over reach the workers through the fork, unpickled,
-    where ``spawn`` would import numpy again and pickle the stream into
-    every worker; a task and its result are pickled. The pool forks its
-    workers before it starts its own thread, and OpenBLAS stops its
-    threads before a fork (``pthread_atfork``). While the pool runs,
-    ``propagator._pool_busy`` is set here and, through the fork, in the
-    workers, so no walk of either starts a factor thread. ``tasks`` is drawn lazily, with at most
-    two tasks per worker in flight, and results come back in task order
+    With two or more tasks and CPUs (``_cpus``), the tasks run in a pool
+    of ``min(CPUs, tasks)`` forked workers (every system with an affinity
+    mask has ``fork``). ``fn`` and the stream it closes over reach the
+    workers through the fork, unpickled, where ``spawn`` would import numpy
+    again and pickle the stream into every worker; a task and its result
+    are pickled. The pool forks its workers before it starts its own
+    thread, and OpenBLAS stops its threads before a fork
+    (``pthread_atfork``). While the pool runs, ``propagator._pool_busy`` is
+    set here and, through the fork, in the workers, so no walk of either
+    starts a factor thread. ``tasks`` is drawn lazily, with at most two
+    tasks per worker in flight, and results come back in task order
     (``propagator._in_order``): the first failure in that order raises its
     own exception, as the serial loop would, a failed task or ``tasks``
     itself raising after the tasks before it. A worker that dies raises
@@ -208,7 +189,7 @@ def _map_tasks(fn, tasks: Iterable, work: int, count: int | None = None) -> list
     raises.
     """
     workers = min(_cpus(), len(tasks) if count is None else count)
-    if workers < 2 or work < _POOL_MIN_WORK:
+    if workers < 2:
         return [fn(task) for task in tasks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -242,8 +223,7 @@ def run_ensemble(stream: EventStream, config: ExperimentConfig
     draws = [("original", None)] + [(method, member_seed(config.seed, i))
                                     for method in config.methods
                                     for i in range(config.ensemble)]
-    results = _map_tasks(member_task, draws,
-                         _walk_work(stream) * len(config.alphas) * len(draws))
+    results = _map_tasks(member_task, draws)
     records: list[ExperimentRecord] = []
     gaps: dict[tuple[str, float], list[float]] = {}
     for (method, seed), (horizon, n_events, member_gaps) in zip(draws, results):
@@ -262,8 +242,7 @@ def run_alpha_sweep(stream: EventStream, config: ExperimentConfig
     T = stream.horizon
     n_events = len(stream.times)
     alphas = sorted(config.alphas)
-    gaps = _map_tasks(lambda a: spectral_gap(propagate(stream, a).matrix),
-                      alphas, _walk_work(stream) * len(alphas))
+    gaps = _map_tasks(lambda a: spectral_gap(propagate(stream, a).matrix), alphas)
     flags = positive_slope_flags(alphas, gaps)
     return [
         ExperimentRecord("alpha_sweep", "original", a, None, T, n_events,
@@ -324,7 +303,7 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
 
     This process walks the factors, alpha after alpha, and hands each
     row's (M(t_n), Y) to ``_map_tasks`` in batches of ``_ROW_BATCH``
-    rows, so the rows' eigen-analysis runs on every CPU when that pays.
+    rows, so the rows' eigen-analysis runs on every CPU.
     Without the pool, the walk may use a factor thread instead; a row
     that raises closes the walk, which joins that thread, before the
     error leaves.
@@ -346,9 +325,7 @@ def run_time_series(stream: EventStream, config: ExperimentConfig
 
     n_rows = len(groups) * len(config.alphas)
     with closing(rows()) as walk:
-        batches = _map_tasks(solve, _batched(walk, _ROW_BATCH),
-                             _walk_work(stream) * len(config.alphas),
-                             -(-n_rows // _ROW_BATCH))
+        batches = _map_tasks(solve, _batched(walk, _ROW_BATCH), -(-n_rows // _ROW_BATCH))
     results = (row for batch in batches for row in batch)
     return [ExperimentRecord("time_series", "original", alpha, None, t_k, stop - start,
                              gap, ratio, flags)
@@ -371,7 +348,7 @@ def run_aggregate_compare(stream: EventStream, config: ExperimentConfig
         return tie_gap, spectral_gap(aggregate_propagator(agg, T))
 
     records: list[ExperimentRecord] = []
-    pairs = _map_tasks(gaps, config.alphas, _walk_work(stream) * len(config.alphas))
+    pairs = _map_tasks(gaps, config.alphas)
     for alpha, (tie_gap, agg_gap) in zip(config.alphas, pairs):
         records.append(ExperimentRecord(
             "aggregate_compare", "tie_decay", alpha, None, T, n_events, tie_gap))

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from collections import deque
-from contextlib import closing, suppress
+from contextlib import closing
 from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
@@ -484,27 +484,6 @@ def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFact
     return _factor(*_live_block(dense_ties(-L), _decay_c(alpha, delta_t)), len(L))
 
 
-def _this_cpu() -> int | None:
-    """The CPU this thread runs on, where Linux reports it."""
-    try:
-        with open("/proc/thread-self/stat") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _move_off(cpu: int | None) -> None:
-    """Move this thread to another CPU than ``cpu``, then allow every CPU
-    of its affinity mask again. Linux can leave a new thread, like a forked
-    process, on its parent's CPU beside the busy parent for most of a
-    second."""
-    allowed = os.sched_getaffinity(0)
-    if cpu in allowed and len(allowed) > 1:
-        with suppress(OSError):
-            os.sched_setaffinity(0, allowed - {cpu})
-            os.sched_setaffinity(0, allowed)
-
-
 def iter_factors(stream: EventStream, alpha: float,
                  upto: float | None = None) -> Iterator[IntervalFactor]:
     """Yield interval factors in time order up to ``upto``.
@@ -519,11 +498,10 @@ def iter_factors(stream: EventStream, alpha: float,
     factor thread, and this thread takes back the queued ones that the
     factor thread has not started whenever it would wait for a factor
     (``_in_order``). Every other block is built here (``_factor``), after
-    the held ones. The thread starts with its first block and moves off this
-    thread's CPU once. Factors come out in interval order, and so do their
-    errors, wherever they were built. The thread is joined before this
-    generator returns, raises or is closed, so a caller that may stop early
-    closes it (``contextlib.closing``).
+    the held ones. The thread starts with its first block. Factors come out
+    in interval order, and so do their errors, wherever they were built. The
+    thread is joined before this generator returns, raises or is closed, so
+    a caller that may stop early closes it (``contextlib.closing``).
     """
     spare = not _pool_busy and _cpus() > 1
     n = stream.node_count
@@ -545,8 +523,7 @@ def iter_factors(stream: EventStream, alpha: float,
             if spare and len(idx) > _GEMM_MAX:
                 if thread is None:
                     from concurrent.futures import ThreadPoolExecutor
-                    thread = ThreadPoolExecutor(1, "tiedyn-factor", _move_off,
-                                                (_this_cpu(),))
+                    thread = ThreadPoolExecutor(1, "tiedyn-factor")
                 yield _queue(thread, _factor, idx, A, n)
             else:
                 yield _factor(idx, A, n)

@@ -26,8 +26,10 @@ _FLUSH_THRESHOLD = 1e-300
 
 def decay_to(w: np.ndarray, alpha: float, dt: float) -> None:
     """Multiply weights in place by e^{-alpha*dt}, flushing tiny ones to 0."""
-    if dt < 0:
-        raise ValueError(f"cannot decay backwards: dt = {dt} < 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not dt >= 0:
+        raise ValueError(f"cannot decay backwards: dt must be >= 0, got {dt}")
     w *= np.exp(-alpha * dt)
     w[w < _FLUSH_THRESHOLD] = 0.0
 
@@ -99,6 +101,8 @@ def laplacian(weights: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
     (k x N), and L is the k x k block of D - W on them; each degree is
     still the sum of a whole row of N weights.
     """
+    if weights.ndim != 2 or len(weights) != (weights.shape[1] if idx is None else len(idx)):
+        raise ValueError(f"weights must be N x N, or len(idx) x N, got shape {weights.shape}")
     degrees = weights.sum(axis=1)
     L = -weights if idx is None else -weights[:, idx]
     np.fill_diagonal(L, degrees)

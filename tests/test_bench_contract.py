@@ -70,8 +70,16 @@ def test_checks_py_reads():
         assert all(type(e.time) is float for e in member.events)
 
 
+def one_cpu():
+    """Run this process on one CPU of its mask, where that can be set."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def traced_span_names(tmp_path, *cli_args) -> list[str]:
-    """Span names of one bench/trace.py run of the CLI on STREAM."""
+    """Span names of one bench/trace.py run of the CLI on STREAM, on one
+    CPU: trace.py records spans only in its own process, and with two or
+    more tasks and CPUs the tasks run in forked workers."""
     inp = tmp_path / "events.txt"
     inp.write_text(STREAM)
     spans = tmp_path / "spans.json"
@@ -79,7 +87,7 @@ def traced_span_names(tmp_path, *cli_args) -> list[str]:
     proc = subprocess.run(
         [sys.executable, str(BENCH / "trace.py"), str(spans), "--input", str(inp),
          *cli_args, "--out", str(tmp_path / "o.csv")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=one_cpu)
     assert proc.returncode == 0, proc.stderr
     return [span[0] for span in json.loads(spans.read_text())]
 

@@ -128,7 +128,7 @@ def test_time_series_snapshots_are_the_dense_walk(case, alpha, cpus, monkeypatch
     # to _series_row, with the pool off so the rows stay in this process
     stream = stream_of(case)
     rows = []
-    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 10**18)
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     monkeypatch.setattr(experiments, "_series_row",
                         lambda M, Y: rows.append((M.copy(), Y)) or (0.0, None, ""))
     run_time_series(stream, ExperimentConfig(alphas=[alpha]))

@@ -166,6 +166,14 @@ def test_exclude_min_edges_zero_is_identity():
     assert exclude_low_degree_nodes(s, 0) == s
 
 
+@pytest.mark.parametrize("min_edges", [math.nan, 1.5, 2.0])
+def test_exclude_rejects_non_integer_counts(min_edges):
+    # nan kept every node and 1.5 acted as 2
+    s = parse_events("0 a b\n1 b c")
+    with pytest.raises(TypeError, match="integer"):
+        exclude_low_degree_nodes(s, min_edges)
+
+
 def test_exclude_path_collapses_to_empty():
     s = parse_events("0 a b\n1 b c")
     with pytest.raises(EventStreamError, match="all events"):

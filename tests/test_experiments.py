@@ -139,6 +139,7 @@ def test_ensemble_holds_one_member_at_a_time(monkeypatch):
 
     monkeypatch.setattr(tiedyn.experiments, "randomize", drawing)
     monkeypatch.setattr(tiedyn.experiments, "propagate", counting)
+    monkeypatch.setattr(tiedyn.experiments, "_cpus", lambda: 1)  # members here
     cfg = ExperimentConfig(alphas=[0.5, 1.0], ensemble=3, seed=2)
     records, _ = run_ensemble(triangle_stream(), cfg)
     assert len(members) == 4 * 3
@@ -304,6 +305,16 @@ def test_config_rejects_empty_alphas():
 def test_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         ExperimentConfig(mode="ensemble", seed=-1, ensemble=1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("min_edges", 1.5), ("min_edges", math.nan), ("min_edges", 2.0),
+    ("ensemble", 2.5), ("seed", 1.0),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    # 1.5 acted as 2 and nan as 0; an ensemble of 2.5 failed only in range()
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        ExperimentConfig(mode="ensemble", **{field: value})
 
 
 @pytest.mark.parametrize("text,message", [

@@ -192,15 +192,15 @@ def test_helper_takes_every_block_none_or_some(helper_on, monkeypatch, no_thread
                                                share):
     # gates decide which side builds each block: "every" lets the walk go
     # on only once the thread has started each queued block, so nothing is
-    # left to take back; "none" holds the thread at its start until this
-    # thread has built every block; "some" holds the thread's first block
-    # until this thread has taken back two
+    # left to take back; "none" queues a blocker ahead of the first block,
+    # which holds the thread until this thread has built every block; "some"
+    # holds the thread's first block until this thread has taken back two
     stream = stream_of(STREAMS[0])
     n_blocks = len(list(dense_intervals(stream, 0.01)))
     serial = serial_product(stream, 0.01)
     made, find = made_blocks(monkeypatch)
     built = []  # (interval, on the thread), per block
-    factor, queue, move_off = propagator._factor, propagator._queue, propagator._move_off
+    factor, queue = propagator._factor, propagator._queue
 
     def here():
         return sum(not side for _, side in built)
@@ -216,22 +216,25 @@ def test_helper_takes_every_block_none_or_some(helper_on, monkeypatch, no_thread
         assert wait_until(lambda: job.future.running() or job.future.done())
         return job
 
-    def gated_start(cpu):
-        wait_until(lambda: here() == n_blocks)
-        move_off(cpu)
+    blocker = []
+
+    def blocked_queue(executor, fn, *args):
+        if not blocker:  # the thread's first job waits for this thread's blocks
+            blocker.append(executor.submit(wait_until, lambda: here() == n_blocks))
+        return queue(executor, fn, *args)
 
     monkeypatch.setattr(propagator, "_factor", gated_factor)
     if share == "every":
         monkeypatch.setattr(propagator, "_queue", gated_queue)
     if share == "none":
-        monkeypatch.setattr(propagator, "_move_off", gated_start)
+        monkeypatch.setattr(propagator, "_queue", blocked_queue)
     assert np.array_equal(propagate(stream, 0.01).matrix, serial)
     assert sorted(k for k, _ in built) == list(range(n_blocks)) and len(made) == n_blocks
     on_the_thread = n_blocks - here()
     if share == "every":
         assert on_the_thread == n_blocks
     elif share == "none":
-        assert on_the_thread == 0
+        assert on_the_thread == 0 and blocker[0].result()  # released, not timed out
     else:
         assert 1 <= on_the_thread <= n_blocks - 2
 
@@ -387,7 +390,6 @@ def test_pool_workers_start_no_helper(monkeypatch, tmp_path, helper_on):
         return build(blocks, n)
 
     monkeypatch.setattr(propagator, "_stacked", logged)
-    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
     events = tmp_path / "events.txt"
     events.write_text(serialize_events(stream_of(STREAMS[0])))
@@ -430,7 +432,7 @@ def test_time_series_without_the_pool_is_serial(tmp_path, monkeypatch, no_thread
     monkeypatch.setattr(propagator, "_STACK_MAX", -1)
     monkeypatch.setattr(propagator, "_cpus", lambda: 1)
     serial = series_records(tmp_path, "serial.csv")
-    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 10**18)
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
     monkeypatch.setattr(propagator, "_cpus", lambda: 2)
     threaded, build = [], propagator._stacked
     monkeypatch.setattr(propagator, "_stacked",
@@ -440,6 +442,7 @@ def test_time_series_without_the_pool_is_serial(tmp_path, monkeypatch, no_thread
 
 
 def test_failing_row_joins_the_thread(tmp_path, monkeypatch, helper_on):
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)  # rows in this process
     baseline = threading.active_count()
     spectrum, rows = experiments.magnitude_spectrum, []
 
@@ -456,18 +459,6 @@ def test_failing_row_joins_the_thread(tmp_path, monkeypatch, helper_on):
     assert held.value.__traceback__ is not None
     assert threading.active_count() == baseline
     assert helper_on.threaded()
-
-
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                    reason="needs two CPUs in the affinity mask")
-def test_move_off_leaves_the_cpu_and_keeps_the_mask():
-    allowed, cpu = os.sched_getaffinity(0), propagator._this_cpu()
-    if cpu is None:
-        pytest.skip("the platform does not report the CPU")
-    assert cpu in allowed
-    propagator._move_off(cpu)
-    assert propagator._this_cpu() != cpu
-    assert os.sched_getaffinity(0) == allowed
 
 
 def run_script(code, *args, timeout=120):

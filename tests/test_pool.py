@@ -35,12 +35,11 @@ def events(tmp_path):
 
 @pytest.fixture
 def pool_on(monkeypatch):
-    """Call it to run every pipeline of two or more tasks in a two-worker
-    pool, whatever the work and the CPUs."""
-    def on():
-        monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
-        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
-    return on
+    """Every pipeline runs serially in this process until this is called,
+    and then every pipeline of two or more tasks in a two-worker pool,
+    whatever the CPUs."""
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    return lambda: monkeypatch.setattr(experiments, "_cpus", lambda: 2)
 
 
 @pytest.fixture
@@ -198,7 +197,7 @@ def test_task_walk_stays_within_the_window(tmp_path, pool_on):
             ahead.append(k - finished)
             yield k
 
-    assert experiments._map_tasks(task, tasks(), 0, 40) == list(range(40))
+    assert experiments._map_tasks(task, tasks(), 40) == list(range(40))
     # two workers, two tasks each: task k is drawn only after the result
     # of task k - 4 was read, so at most 3 drawn tasks are unfinished
     assert max(ahead) <= 3
@@ -211,17 +210,18 @@ def test_one_cpu_starts_no_pool(events, tmp_path, monkeypatch, task_pids):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     run_mode(events, tmp_path / "o.csv", "ensemble")
     assert task_pids() == {os.getpid()}
 
 
-def test_small_work_runs_serially(events, tmp_path, monkeypatch, task_pids):
+def test_two_tasks_on_two_cpus_pool(events, tmp_path, monkeypatch, task_pids):
+    # whatever the work: a two-alpha sweep of the small fixture stream
     monkeypatch.setattr(experiments, "_cpus", lambda: 2)
-    run_mode(events, tmp_path / "o.csv", "ensemble")
-    assert task_pids() == {os.getpid()}
+    run(ExperimentConfig(input=str(events), alphas=[1.0, 10.0]))
+    assert len(task_pids() - {os.getpid()}) >= 1
+    assert multiprocessing.active_children() == []
 
 
 def run_script(code, *args, timeout=120):
@@ -235,7 +235,6 @@ import multiprocessing, os, signal, sys
 import tiedyn.experiments as experiments
 from tiedyn.cli import main
 
-experiments._POOL_MIN_WORK = 0
 experiments._cpus = lambda: 2
 parent, propagate = os.getpid(), experiments.propagate
 
@@ -266,7 +265,6 @@ import multiprocessing, os, signal, sys
 import tiedyn.experiments as experiments
 from tiedyn.experiments import ExperimentConfig, run
 
-experiments._POOL_MIN_WORK = 0
 experiments._cpus = lambda: 2
 parent, series_row = os.getpid(), experiments._series_row
 
@@ -303,9 +301,7 @@ def loaded(after):
 
 import tiedyn
 loaded("import tiedyn")
-import tiedyn.experiments as experiments
 from tiedyn.cli import main
-experiments._POOL_MIN_WORK = 0
 events, out = sys.argv[1], sys.argv[2]
 if main(["--input", events, "--mode", "alpha-sweep", "--alpha", "1", "--out", out]):
     sys.exit("alpha sweep failed")

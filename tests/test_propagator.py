@@ -246,36 +246,12 @@ def test_degroot_run_consensus_fixed():
     assert np.max(np.abs(y - y0)) < 1e-12
 
 
-def test_degroot_run_matches_brute_force_product():
-    s = parse_events("0 a b\n2 b c")
-    alpha, dt, steps = 0.5, 1.0, 5
-    # independent brute force: build each transition matrix explicitly
-    A = np.zeros((3, 3))
-    mats = []
-    for n in range(steps):
-        A = A * math.exp(-alpha * dt)
-        for ev in s.events:
-            if int(ev.time // dt) == n:
-                A[ev.source, ev.target] += 1
-                A[ev.target, ev.source] += 1
-        B = np.eye(3)
-        for j in range(3):
-            col = A[:, j].sum()
-            if col > 0:
-                B[:, j] = A[:, j] / col
-        mats.append(B.copy())
-    y0 = np.array([1.0, 0.0, -1.0])
-    expected = y0.copy()
-    for B in mats:
-        expected = expected @ B
-    assert np.allclose(degroot_run(y0, s, alpha, dt, steps), expected,
-                       atol=1e-12)
-
-
 def dense_degroot_run(y, stream, alpha, delta_t, steps):
-    """The dense walk that degroot_run replaced: an N x N tie matrix
-    decayed by a plain multiply, then bumped at each event's flat cell
-    ``i*N + j``, and at ``j*N + i`` too unless directed."""
+    """The dense walk that degroot_run replaced, with no package code: an
+    N x N tie matrix decayed by a plain multiply, bumped at each event's
+    flat cell ``i*N + j`` (and at ``j*N + i`` unless directed), and each
+    step's transition built column by column, an all-zero column kept as
+    the identity's."""
     n = stream.node_count
     step_of = stream.times // delta_t
     cells = stream.sources * n + stream.targets
@@ -289,19 +265,25 @@ def dense_degroot_run(y, stream, alpha, delta_t, steps):
         A_tilde = A_tilde * decay
         start, stop = np.searchsorted(step_of, (k, k + 1))
         np.add.at(A_tilde.reshape(-1), cells[start:stop], 1.0)
-        y = y @ degroot_transition(A_tilde)
+        B = np.eye(n)
+        for j in range(n):
+            col = A_tilde[:, j].sum()
+            if col > 0:
+                B[:, j] = A_tilde[:, j] / col
+        y = y @ B
     return y
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_degroot_run_equals_dense_walk_bitwise(directed):
     streams = [make_random_stream(seed, n_max=5, max_events=40, directed=directed)
-               for seed in range(12)]
+               for seed in range(12)] + [parse_events("0 a b\n2 b c", directed=directed)]
     assert any(map(pair_seen_both_ways, streams))
     for seed, stream in enumerate(streams):
         y0 = np.random.default_rng(seed).normal(size=stream.node_count)
         # from slow decay to weights far below the timeline's flush threshold
-        for alpha, delta_t, steps in ((0.05, 0.7, 80), (1.0, 3.0, 20), (30.0, 5.0, 12)):
+        for alpha, delta_t, steps in ((0.05, 0.7, 80), (0.5, 1.0, 5), (1.0, 3.0, 20),
+                                      (30.0, 5.0, 12)):
             assert np.array_equal(degroot_run(y0, stream, alpha, delta_t, steps),
                                   dense_degroot_run(y0, stream, alpha, delta_t, steps))
 

@@ -42,6 +42,19 @@ def test_decay_rejects_time_travel():
     assert np.array_equal(w, pair_weights(1.0))
 
 
+@pytest.mark.parametrize("alpha,dt,message", [
+    (1.0, math.nan, "backwards"),  # made every weight nan
+    (-1.0, 1.0, "alpha must be positive and finite"),  # grew the weights
+    (0.0, 1.0, "alpha must be positive and finite"),
+    (math.inf, 1.0, "alpha must be positive and finite"),
+])
+def test_decay_rejects_nan_dt_and_bad_alpha(alpha, dt, message):
+    w = pair_weights(1.0)
+    with pytest.raises(ValueError, match=message):
+        decay_to(w, alpha, dt)
+    assert np.array_equal(w, pair_weights(1.0))
+
+
 def test_decay_semigroup():
     via = pair_weights(2.0)
     decay_to(via, 0.7, 1.3)
@@ -133,6 +146,24 @@ def test_laplacian_zero_state():
 def test_laplacian_two_node():
     L = laplacian(pair_weights(1.0))
     assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shape,idx", [
+    ((2, 3), None),  # gave a 2 x 3 "Laplacian"
+    ((3,), None),
+    ((2, 2, 2), None),
+    ((2, 3), [0, 1, 2]),
+    ((3, 3), [0, 2]),
+], ids=["wide", "vector", "3-d", "rows-short-of-idx", "rows-beyond-idx"])
+def test_laplacian_rejects_bad_shapes(shape, idx):
+    with pytest.raises(ValueError, match="must be N x N"):
+        laplacian(np.ones(shape), None if idx is None else np.array(idx))
+
+
+def test_laplacian_of_rows():
+    # the rows of nodes 0 and 2: degrees over all 3 columns
+    L = laplacian(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 0.0]]), np.array([0, 2]))
+    assert np.array_equal(L, np.array([[3.0, -2.0], [-3.0, 7.0]]))
 
 
 def timeline_laplacians(stream, alpha, upto=None):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import tiedyn.experiments as experiments
 from tiedyn import spectral
 from tiedyn.events import group_event_times, parse_events
 from tiedyn.experiments import (ExperimentConfig, records_to_csv,
@@ -58,10 +59,17 @@ def row_codes(records):
                    for r in records)
 
 
+def rows_here(monkeypatch):
+    """Solve every time-series row in this process, where a counter sees
+    it: with one CPU, ``run_time_series`` starts no pool."""
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+
+
 def count_eigenvector_solves(monkeypatch):
     """Record each inverse iteration for u2 (``spectral._right_vector``);
     fiedler_left looks it up through the module global, and reaches it only
     for a separated lambda_2, so each call is one Fiedler-vector solve."""
+    rows_here(monkeypatch)
     calls = []
     original = spectral._right_vector
 
@@ -134,6 +142,7 @@ def test_defective_rows_are_flagged_and_the_run_goes_on(monkeypatch):
         return original(M, spectrum)
 
     monkeypatch.setattr(spectral, "fiedler_left", every_other_defective)
+    rows_here(monkeypatch)
     stream = make_random_stream(0)
     records = run_time_series(stream, ExperimentConfig(alphas=[1.0]))
     assert len(records) == len(group_event_times(stream))
@@ -186,6 +195,7 @@ def test_one_eigenvalue_solve_per_row_and_no_eig(monkeypatch, directed):
 
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    rows_here(monkeypatch)
     alphas = [0.01, 1.0, 100.0]
     codes = ""
     for seed in (0, 1, 4, 5):
