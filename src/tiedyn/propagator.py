@@ -29,23 +29,6 @@ if TYPE_CHECKING:  # a serial run does not import concurrent.futures
     from concurrent.futures import Future
 
 
-def _eigh_lower(B: np.ndarray, signature: str | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(B, UPLO="L") with the contract of numpy's ``eigh_lo``
-    gufunc: NaN eigenvalues and vectors where ``syevd`` does not converge."""
-    try:
-        return np.linalg.eigh(B, UPLO="L")
-    except np.linalg.LinAlgError:
-        return np.full(B.shape[-1], np.nan), np.full(B.shape, np.nan)
-
-
-try:
-    # numpy's syevd gufunc on the lower triangle: np.linalg.eigh(B, UPLO="L")
-    # without its wrapper, which costs more than the solve on small blocks
-    from numpy.linalg._umath_linalg import eigh_lo
-except ImportError:  # a private name, which a numpy release may drop
-    eigh_lo = _eigh_lower
-
 _COLSUM_TOL = 1e-10
 _NEG_TOL = 1e-12
 # Ties with |c|*w below this are dropped: they move no entry of the factor
@@ -365,8 +348,9 @@ def _deflated_eigh(A: np.ndarray) -> np.ndarray:
     zero first row and column. ``eigh`` runs on the trailing block,
     B22 = V Lambda V^T, and exp(A) = Z Z^T with Z = H diag(1, V
     e^{Lambda/2}). Its columns sum to 1 to rounding of order eps, whatever
-    the norm of A. ``eigh_lo``, ``exp`` and ``matmul`` broadcast, and each
-    block of a stack comes out bit for bit as it would alone.
+    the norm of A. ``eigh``, ``exp`` and ``matmul`` broadcast, and each
+    block of a stack comes out bit for bit as it would alone; ``eigh``
+    raises ``LinAlgError`` for the whole stack if a solve fails.
     """
     n = A.shape[-1]
     r = 1.0 / math.sqrt(n)
@@ -376,9 +360,7 @@ def _deflated_eigh(A: np.ndarray) -> np.ndarray:
     y = (beta * r) * A[..., 1:, 0] - 0.5 * (beta * r) ** 2 * A[..., :1, 0]
     B = A[..., 1:, 1:] - y[..., :, None]
     B -= y[..., None, :]
-    vals, vecs = eigh_lo(B, signature="d->dd")
-    if np.isnan(vals[..., 0]).any():  # no convergence: the gufunc returns NaN
-        raise np.linalg.LinAlgError("syevd did not converge")
+    vals, vecs = np.linalg.eigh(B, UPLO="L")
     W = vecs * np.exp(0.5 * vals)[..., None, :]
     colsum = W.sum(axis=-2)
     Z = np.empty_like(A)
@@ -481,7 +463,8 @@ def interval_factor(L: np.ndarray, delta_t: float, alpha: float) -> IntervalFact
         raise ValueError(f"delta_t must be finite and >= 0, got {delta_t}")
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    return _factor(*_live_block(dense_ties(-L), _decay_c(alpha, delta_t)), len(L))
+    return _factor(*_live_block(dense_ties(-np.asarray(L, dtype=float)),
+                                _decay_c(alpha, delta_t)), len(L))
 
 
 def iter_factors(stream: EventStream, alpha: float,
@@ -581,14 +564,15 @@ def degroot_transition(weights: np.ndarray) -> np.ndarray:
     identity columns, so those nodes keep their opinion. ``weights`` must
     pass the checks of ``off_diagonal``, and its diagonal (self-ties) must
     be >= 0 too."""
-    weights = np.asarray(weights, dtype=float)
-    off_diagonal(weights)
-    if (weights.diagonal() < 0).any():
+    W = off_diagonal(weights)
+    self_weights = np.diagonal(weights)
+    if (self_weights < 0).any():
         raise ValueError("negative self-weights")
-    colsums = weights.sum(axis=0)
-    B = np.eye(weights.shape[0])
+    np.fill_diagonal(W, self_weights)
+    colsums = W.sum(axis=0)
+    B = np.eye(len(W))
     nz = colsums > 0
-    B[:, nz] = weights[:, nz] / colsums[nz]
+    B[:, nz] = W[:, nz] / colsums[nz]
     return B
 
 
@@ -609,6 +593,8 @@ def degroot_run(y_init: np.ndarray, stream: EventStream, alpha: float,
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not 0 < delta_t < math.inf:
         raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
+    if not hasattr(type(steps), "__index__"):  # what operator.index takes
+        raise TypeError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     y = _opinions(y_init, stream)

@@ -54,8 +54,10 @@ class Ties(NamedTuple):
 
 
 def off_diagonal(W: np.ndarray) -> np.ndarray:
-    """A copy of the N x N weights ``W`` with a zero diagonal. ``W`` must be
-    square, its entries finite, and those off the diagonal >= 0."""
+    """A float copy of the N x N weights ``W`` (an array or nested lists)
+    with a zero diagonal. ``W`` must be square, its entries finite, and
+    those off the diagonal >= 0."""
+    W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"weights must be a square matrix, got shape {W.shape}")
     if not np.all(np.isfinite(W)):
@@ -101,6 +103,7 @@ def laplacian(weights: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
     (k x N), and L is the k x k block of D - W on them; each degree is
     still the sum of a whole row of N weights.
     """
+    weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or len(weights) != (weights.shape[1] if idx is None else len(idx)):
         raise ValueError(f"weights must be N x N, or len(idx) x N, got shape {weights.shape}")
     degrees = weights.sum(axis=1)

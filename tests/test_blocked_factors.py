@@ -6,9 +6,7 @@ propagator is the product of those. Live-block factors, propagators,
 opinions and time-series rows must match it to 1e-12 entrywise.
 """
 
-import importlib.util
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -199,70 +197,55 @@ def test_one_expm_call_per_factor(monkeypatch):
         assert calls == ([len(fac.idx)] if len(fac.idx) else [])
 
 
-def test_eigh_gufunc_is_numpy_eigh_lower(monkeypatch):
-    # _expm calls numpy's private gufunc, not np.linalg.eigh: a numpy
-    # release that changes what it computes must fail here. With the gate
-    # at 1 node, every block is above it and goes to syevd.
-    original = propagator.eigh_lo
-    blocks = []
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_failed_syevd_raises_in_its_interval(monkeypatch, cpus):
+    # np.linalg.eigh raises LinAlgError for a failed solve, and _expm lets
+    # it through
+    eigh = np.linalg.eigh
 
-    def recorded(B, signature):
-        blocks.append(B.copy())
-        return original(B, signature=signature)
-
-    monkeypatch.setattr(propagator, "_GEMM_MAX", 1)
-    monkeypatch.setattr(propagator, "eigh_lo", recorded)
-    for stream in (sparse_stream(0), make_random_stream(3, n_max=9)):
-        list(iter_factors(stream, 1.0))
-    assert len({B.shape[0] for B in blocks}) >= 3
-    for B in blocks:
-        vals, vecs = original(B, signature="d->dd")
-        reference = np.linalg.eigh(B, UPLO="L")
-        assert np.array_equal(vals, reference.eigenvalues)
-        assert np.array_equal(vecs, reference.eigenvectors)
-
-
-def test_eigh_fallback_gives_the_same_factors(monkeypatch):
-    # np.linalg.eigh(B, UPLO="L") runs the same syevd: bit-identical blocks,
-    # with every block above the gate
-    monkeypatch.setattr(propagator, "_GEMM_MAX", 1)
-    streams = (sparse_stream(0), make_random_stream(3, n_max=9))
-    expected = [fac.block for s in streams for fac in iter_factors(s, 1.0)]
-    monkeypatch.setattr(propagator, "eigh_lo", propagator._eigh_lower)
-    got = [fac.block for s in streams for fac in iter_factors(s, 1.0)]
-    assert len(got) == len(expected)
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-
-
-def test_eigh_fallback_is_taken_without_the_gufunc(monkeypatch):
-    # a fresh copy of the module, loaded while numpy lacks the private name
-    # (np.linalg.eigh itself calls it, so it is back for the solves)
-    import numpy.linalg._umath_linalg as umath_linalg
-    spec = importlib.util.spec_from_file_location("tiedyn._propagator_probe",
-                                                  propagator.__file__)
-    probe = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, probe)  # dataclasses look it up
-    with monkeypatch.context() as m:
-        m.delattr(umath_linalg, "eigh_lo")
-        spec.loader.exec_module(probe)
-    assert probe.eigh_lo is probe._eigh_lower
-    L, c = heavy_edge_laplacian(0, scale=10.0, n=propagator._GEMM_MAX + 1)
-    A = c * L.T
-    assert np.array_equal(probe._expm(A.copy()), propagator._expm(A.copy()))
-
-
-def test_eigh_fallback_returns_nan_when_syevd_fails(monkeypatch):
-    def fail(*args, **kwargs):
+    def fail(B, UPLO):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    vals, vecs = propagator._eigh_lower(np.eye(3), signature="d->dd")
-    assert vals.shape == (3,) and vecs.shape == (3, 3)
-    assert np.isnan(vals).all() and np.isnan(vecs).all()
-    monkeypatch.setattr(propagator, "eigh_lo", propagator._eigh_lower)
     L, c = heavy_edge_laplacian(0, scale=10.0, n=propagator._GEMM_MAX + 1)
-    with pytest.raises(np.linalg.LinAlgError, match="syevd did not converge"):
-        _expm(c * L.T)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            _expm(c * L.T)
+    # a walk raises it in the failing interval's place, after the factors
+    # before it; with the gate and the stack bound below 0, every live
+    # block goes alone to syevd, in interval order on one CPU
+    monkeypatch.setattr(propagator, "_GEMM_MAX", -1)
+    monkeypatch.setattr(propagator, "_STACK_MAX", -1)
+    monkeypatch.setattr(propagator, "_cpus", lambda: 1)
+    stream, solved = sparse_stream(0), []
+
+    def recorded(B, UPLO):
+        solved.append(B.copy())
+        return eigh(B, UPLO=UPLO)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", recorded)
+        factors = list(iter_factors(stream, 1.0))
+    live = [k for k, fac in enumerate(factors) if len(fac.idx)]
+    assert len(solved) == len(live) > 5
+    target = solved[5]
+    assert sum(np.array_equal(B, target) for B in solved) == 1
+
+    def failing(B, UPLO):
+        if np.array_equal(B, target):
+            fail(B, UPLO)
+        return eigh(B, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(propagator, "_cpus", lambda: cpus)
+    got = []
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        for fac in iter_factors(stream, 1.0):
+            got.append(fac)
+    assert len(got) == live[5]
+    for fac, expected in zip(got, factors):
+        assert np.array_equal(fac.idx, expected.idx)
+        assert np.array_equal(fac.block, expected.block)
 
 
 @pytest.mark.parametrize("stream", [sparse_stream(1), make_random_stream(1)],

@@ -142,8 +142,8 @@ def test_bench_inputs_take_the_stacked_and_the_one_block_paths():
     # each block goes by its own size (iter_factors): the sweep's blocks
     # are all small enough to stack, slow decay and the time series build
     # almost all of theirs one at a time on _taylor, and every block of
-    # aggregate-large is above the gate, where the factor thread takes
-    # every other one
+    # aggregate-large is above the gate, where each is queued on the factor
+    # thread and taken back whenever the walk would wait for it
     sizes = {case: np.array([len(fac.idx) for alpha in load_bench("run").WORKLOADS[case].alphas
                              for fac in iter_factors(stream_of(case), alpha)])
              for case in BENCH_INPUTS}

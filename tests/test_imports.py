@@ -1,7 +1,10 @@
-"""Lint checks: no module of the package imports a name it never uses, and
-no private module-level name of the package goes unreferenced."""
+"""Lint checks: no module of the package imports a name it never uses, no
+private module-level name of the package goes unreferenced, and every
+package name that a script of ``scripts/`` uses or documents exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,55 @@ def test_orphaned_private_name_is_reported():
     # assigning a name, as ``global`` code does, does not read it
     assert orphaned_private_names({"c.py": "_n = 0\ndef f():\n    global _n\n"
                                            "    _n = 1\n"}) == ["c.py:1: _n"]
+
+
+SCRIPTS = sorted((PACKAGE.parents[1] / "scripts").glob("*.py"))
+SUBMODULES = {p.stem for p in MODULES}
+
+
+def script_names(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each package name of a script: the names it
+    imports from ``tiedyn``, those it reads or sets on a package module
+    it imported, and the ````module.name```` spans of its docstrings."""
+    modules, names = {}, set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tiedyn":
+            for alias in node.names:
+                names.add((node.module, alias.name))
+                if node.module == "tiedyn" and alias.name in SUBMODULES:
+                    modules[alias.asname or alias.name] = f"tiedyn.{alias.name}"
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname: alias.name for alias in node.names
+                        if alias.asname and alias.name.startswith("tiedyn.")}
+    for node in ast.walk(tree):  # a setattr on a renamed name passes silently
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names.add((modules[node.value.id], node.attr))
+    names |= {(f"tiedyn.{module}", name)
+              for module, name in re.findall(r"``(\w+)\.(\w+)``", source)
+              if module in SUBMODULES}
+    return names
+
+
+def missing_names(names: set[tuple[str, str]]) -> list[str]:
+    return [f"{module}.{name}" for module, name in sorted(names)
+            if not hasattr(importlib.import_module(module), name)]
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_names_exist(path):
+    assert missing_names(script_names(path.read_text())) == []
+
+
+def test_script_names_are_found():
+    source = (PACKAGE.parents[1] / "scripts" / "helper_gate.py").read_text()
+    assert {("tiedyn.propagator", name) for name in
+            ("_live_block", "_factor", "_expm", "_taylor", "_GEMM_MAX", "_cpus")
+            } <= script_names(source)
+    source = ('"""Times ``propagator._gone``."""\n'
+              "from tiedyn import propagator, spectral_gap\n"
+              "import tiedyn.tie_decay as td\n"
+              "from tiedyn.events import parse_events, _lost\n"
+              "def main():\n    propagator._cpus = td._flushed\n")
+    assert missing_names(script_names(source)) == [
+        "tiedyn.events._lost", "tiedyn.propagator._gone", "tiedyn.tie_decay._flushed"]

@@ -4,11 +4,13 @@ import re
 import numpy as np
 import pytest
 
+from tiedyn.aggregate import aggregate_propagator
 from tiedyn.events import Event, EventStream, group_event_times, parse_events
 import tiedyn.propagator as propagator
 from tiedyn.propagator import (degroot_run, degroot_transition,
                                evolve_opinions, interval_factor, iter_factors,
                                propagate)
+from tiedyn.tie_decay import dense_ties, laplacian, off_diagonal
 
 from conftest import (dense_intervals, make_random_stream, pair_seen_both_ways,
                       rk4_lockstep)
@@ -233,6 +235,31 @@ def test_degroot_transition_rejects_bad_weights(weights, message):
         degroot_transition(weights)
 
 
+# each takes nested lists as it takes the equivalent array, ints too, and
+# returns the same float arrays
+TIE_MATRIX_CALLS = {
+    "off_diagonal": lambda W: [off_diagonal(W)],
+    "dense_ties": lambda W: dense_ties(W)[:3],
+    "laplacian": lambda W: [laplacian(W)],
+    # a Laplacian's off-diagonal is -W; its diagonal is not read
+    "interval_factor": lambda W: [interval_factor(
+        -W if isinstance(W, np.ndarray) else [[-w for w in row] for row in W],
+        1.0, 1.0).matrix],
+    "aggregate_propagator": lambda W: [aggregate_propagator(W, 1.0)],
+    "degroot_transition": lambda W: [degroot_transition(W)],
+}
+
+
+@pytest.mark.parametrize("W", [[[0, 1], [1, 0]],
+                               [[0.0, 0.5, 0.0], [2.0, 1.0, 0.25], [0.0, 3.0, 0.0]]],
+                         ids=["int-pair", "float-triple"])
+@pytest.mark.parametrize("name", TIE_MATRIX_CALLS)
+def test_tie_matrix_functions_take_nested_lists(name, W):
+    call = TIE_MATRIX_CALLS[name]
+    for got, expected in zip(call(W), call(np.array(W, dtype=float)), strict=True):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 def test_degroot_run_zero_steps():
     s = parse_events("0 a b")
     y = degroot_run(np.array([2.0, -1.0]), s, 1.0, 1.0, 0)
@@ -319,6 +346,20 @@ def test_degroot_run_rejects_bad_alpha(alpha):
     s = parse_events("0 a b\n1 b c\n2 a c")
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
         degroot_run(np.array([1.0, 0.0, -1.0]), s, alpha, 0.5, 8)
+
+
+@pytest.mark.parametrize("steps", [2.5, math.nan, 2.0, "3"])
+def test_degroot_run_rejects_non_integer_steps(steps):
+    # 2.5 and nan failed inside range, with a message naming no argument
+    s = parse_events("0 a b\n2 b c")
+    with pytest.raises(TypeError, match="steps must be an integer"):
+        degroot_run(np.array([1.0, 0.0, -1.0]), s, 1.0, 0.5, steps)
+
+
+def test_degroot_run_takes_numpy_integer_steps():
+    s, y0 = parse_events("0 a b\n2 b c"), np.array([1.0, 0.0, -1.0])
+    assert np.array_equal(degroot_run(y0, s, 1.0, 0.5, np.int64(5)),
+                          degroot_run(y0, s, 1.0, 0.5, 5))
 
 
 @pytest.mark.parametrize("delta_t", [0.0, -1.0, math.nan, math.inf])
