@@ -93,7 +93,7 @@ def _read_config_file(parser: argparse.ArgumentParser,
                       path: str) -> argparse.Namespace:
     """Parse each ``key=value`` line as the flag ``--key=value``."""
     ns = argparse.Namespace(alphas=None, alpha_grid=None)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

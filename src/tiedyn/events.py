@@ -9,6 +9,7 @@ that the first event occurs at t = 0.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 from array import array
@@ -154,6 +155,16 @@ def format_float(x: float) -> str:
     return repr(int(x)) if x.is_integer() and abs(x) < 1e16 else repr(x)
 
 
+# The comment mark, and the characters where str.splitlines and str.split
+# may cut a text otherwise than np.loadtxt (\r; \x0b, \x0c and \x1c-\x1e,
+# line breaks to one and separators to the other; \x1f) or that a bytes
+# field drops (NUL): an ASCII text free of them has the same lines and
+# fields for both.
+_NOT_PLAIN = "#\r\x00\x0b\x0c\x1c\x1d\x1e\x1f"
+# a 9th byte marks a label too long for the 8-byte keys
+_PLAIN_ROW = np.dtype([("t", "f8"), ("i", "S9"), ("j", "S9")])
+
+
 def parse_events(text: str | Iterable[str],
                  directed: bool = False) -> EventStream:
     """Parse ``t i j`` lines into a validated EventStream.
@@ -163,9 +174,13 @@ def parse_events(text: str | Iterable[str],
     of first appearance in the time-sorted events (``i`` before ``j``).
     Times are shifted so the first event is at 0.
     """
+    if isinstance(text, str):
+        stream = _plain_table(text, directed)
+        if stream is not None:
+            return stream
     lines = text.splitlines() if isinstance(text, str) else text
     # one pass fills the columns; labels get provisional codes in file order
-    times, sources, targets = array("d"), array("q"), array("q")
+    times, codes = array("d"), array("q")  # codes: i and j of each event
     code: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -187,24 +202,57 @@ def parse_events(text: str | Iterable[str],
         if i == j:
             raise EventStreamError(f"line {lineno}: self-event on {i!r}")
         times.append(t)
-        sources.append(code.setdefault(i, len(code)))
-        targets.append(code.setdefault(j, len(code)))
+        codes.append(code.setdefault(i, len(code)))
+        codes.append(code.setdefault(j, len(code)))
     if not times:
         raise EventStreamError("empty input")
+    return _sorted_stream(np.frombuffer(times),
+                          np.frombuffer(codes, dtype=np.int64).reshape(-1, 2),
+                          list(code), directed)
 
-    t = np.frombuffer(times)
-    order = np.argsort(t, kind="stable")  # stable: file order at ties
-    t = t[order]
+
+def _plain_table(text: str, directed: bool) -> EventStream | None:
+    """``text`` read by one ``np.loadtxt`` call, or None where the line
+    loop must read it.
+
+    The table must be ASCII without comments or carriage returns, every
+    line blank or three fields, every time in ``[0, inf)``, every label
+    at most 8 bytes and no event a self-event. Anything else, every error
+    included, is left to the loop and its line-numbered messages. Labels
+    are keyed as 8-byte integers, one to one.
+    """
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN) or not text.strip():
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=_PLAIN_ROW, ndmin=1)
+    except ValueError:  # a bad field count or time; ``1_0`` too, which float() takes
+        return None
+    times = rows["t"]
+    labels = np.stack([rows["i"], rows["j"]], axis=1)
+    if labels.view(np.uint8)[:, 8::9].any():
+        return None
+    keys = labels.astype("S8").view("<u8")
+    if not ((times >= 0) & (times < math.inf)).all() or (keys[:, 0] == keys[:, 1]).any():
+        return None
+    names, codes = np.unique(keys, return_inverse=True)
+    return _sorted_stream(times, codes.reshape(keys.shape),
+                          names.view("S8").astype(str).tolist(), directed)
+
+
+def _sorted_stream(times: np.ndarray, pairs: np.ndarray, names: list[str],
+                   directed: bool) -> EventStream:
+    """The stream of the events ``(times[k], *pairs[k])`` in file order,
+    where ``names[c]`` is the label of provisional code ``c``: sorted by
+    time, shifted to start at 0, its labels numbered anew."""
+    order = np.argsort(times, kind="stable")  # stable: file order at ties
+    t = times[order]
     t -= t[0]
-    pairs = np.empty((len(order), 2), dtype=np.intp)
-    pairs[:, 0] = np.frombuffer(sources, dtype=np.int64)[order]
-    pairs[:, 1] = np.frombuffer(targets, dtype=np.int64)[order]
+    pairs = pairs[order]
     # recode by first appearance in time order, i before j
-    first = np.full(len(code), pairs.size)
+    first = np.full(len(names), pairs.size)
     np.minimum.at(first, pairs.ravel(), np.arange(pairs.size))
     by_first = np.argsort(first)
     recode = np.argsort(by_first)
-    names = list(code)
     labels = tuple(names[c] for c in by_first.tolist())
     return EventStream(t, recode[pairs[:, 0]], recode[pairs[:, 1]],
                        len(labels), labels, directed)

@@ -394,7 +394,7 @@ def summaries_to_csv(summaries: list[tuple[str, float, FiveNumberSummary]]) -> s
 def load_stream(config: ExperimentConfig) -> EventStream:
     if not config.input:
         raise ValueError("no input path configured")
-    text = Path(config.input).read_text()
+    text = Path(config.input).read_text(encoding="utf-8")
     stream = parse_events(text, directed=config.directed)
     if config.min_edges > 0:
         stream = exclude_low_degree_nodes(stream, config.min_edges)

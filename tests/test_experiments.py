@@ -551,6 +551,26 @@ def test_cli_runs_never_import_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_cli_reads_utf8_files_under_an_ascii_locale(tmp_path, via):
+    # input and config files are read as UTF-8, as CSVs are written, and
+    # not in the locale's encoding; only a fresh process can set the locale
+    inp = tmp_path / "events.txt"
+    inp.write_text("0 ü b\n1 b c\n2 c ü\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    args = ["--input", str(inp), "--alpha", "1", "--out", str(out)]
+    if via == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# für ü\ninput={inp}\nalpha=1\nout={out}\n", encoding="utf-8")
+        args = ["--config", str(cfg)]
+    env = dict(os.environ, PYTHONPATH=str(Path(tiedyn.__file__).parents[1]),
+               PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0")
+    result = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "tiedyn.cli", *args],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
+
+
 def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["--help"])

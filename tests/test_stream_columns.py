@@ -18,7 +18,7 @@ from tiedyn.events import (Event, EventStream, EventStreamError,
                            exclude_low_degree_nodes, parse_events)
 from tiedyn.propagator import propagate
 
-from conftest import stream_from_rows
+from conftest import load_bench, stream_from_rows
 
 
 def reference_checks(rows, node_count, labels):
@@ -105,30 +105,40 @@ BAD_LINES = ["1 a", "1 a b c", "x a b", "1..2 a b", "inf a b", "nan a b",
              "-Infinity a b", "-1 a b", "-0.5 c d", "3 q q", "2\tz\tz"]
 
 
+def parses_as_reference(text, directed=False):
+    """Whether ``parse_events`` gives the reference's stream or error for
+    ``text``, and for its lines one at a time; asserts on any difference."""
+    try:
+        rows, labels = reference_parse(text)
+    except EventStreamError as expected:
+        for given in (text, text.splitlines()):
+            with pytest.raises(EventStreamError) as got:
+                parse_events(given, directed)
+            assert str(got.value) == str(expected)
+        return False
+    s = parse_events(text, directed)
+    assert s.events == tuple(Event(*row) for row in rows)
+    assert s.labels == labels
+    assert s.node_count == len(labels)
+    assert s.directed == directed
+    assert s.times.dtype == np.float64 and s.sources.dtype == np.intp
+    assert list(zip(s.times.tolist(), s.sources.tolist(),
+                    s.targets.tolist())) == list(rows)
+    # the same lines, one at a time, which the line loop reads
+    assert parse_events(text.splitlines(), directed) == s
+    return True
+
+
 def test_parse_matches_reference():
     parsed = 0
     for seed in range(300):
         rng = np.random.default_rng(seed)
         text = random_text(rng, lines=int(rng.integers(1, 60)))
-        directed = bool(rng.integers(2))
-        try:
-            rows, labels = reference_parse(text)
-        except EventStreamError as err:  # only blank and comment lines drawn
-            assert str(err) == "empty input"
+        if parses_as_reference(text, bool(rng.integers(2))):
+            parsed += 1
+        else:  # only blank and comment lines drawn
             with pytest.raises(EventStreamError, match="^empty input$"):
-                parse_events(text, directed)
-            continue
-        s = parse_events(text, directed)
-        assert s.events == tuple(Event(*row) for row in rows)
-        assert s.labels == labels
-        assert s.node_count == len(labels)
-        assert s.directed == directed
-        assert s.times.dtype == np.float64 and s.sources.dtype == np.intp
-        assert list(zip(s.times.tolist(), s.sources.tolist(),
-                        s.targets.tolist())) == list(rows)
-        # the same lines, one at a time
-        assert parse_events(text.splitlines(), directed) == s
-        parsed += 1
+                reference_parse(text)
     assert parsed > 250
 
 
@@ -156,6 +166,127 @@ def test_parse_empty_input_matches_reference(text):
     with pytest.raises(EventStreamError) as got:
         parse_events(text)
     assert str(got.value) == str(expected.value) == "empty input"
+
+
+PLAIN_LABELS = ["a", "b", "node_7", "42", "007", "x.y", "-3", "1e5", "inf",
+                "12345678", "'q'", '"', "b'a'", "Z", "_"]
+PLAIN_TIMES = [t for t in TIMES if t != "1_0"]
+
+
+def plain_text(rng, lines=40):
+    """A valid event list with ``\\n`` line ends only, no comment and ASCII
+    labels of at most 8 bytes; blank lines, tab separators and tied times
+    stay."""
+    out = []
+    for _ in range(lines):
+        if rng.random() < 0.1:
+            out.append(rng.choice(["", "   ", "\t"]))
+            continue
+        i, j = rng.choice(len(PLAIN_LABELS), size=2, replace=False)
+        seps = [rng.choice([" ", "\t", "  ", " \t "]) for _ in range(2)]
+        t = rng.choice(PLAIN_TIMES)
+        out.append(f"{rng.choice(['', ' ', chr(9)])}{t}{seps[0]}{PLAIN_LABELS[i]}"
+                   f"{seps[1]}{PLAIN_LABELS[j]}{rng.choice(['', ' ', chr(9)])}")
+    return "\n".join(out) + rng.choice(["", "\n"])
+
+
+@pytest.fixture
+def plain_returns(monkeypatch):
+    """What each ``_plain_table`` call returns: a stream, or None where the
+    line loop reads the text."""
+    returns = []
+    real = events_module._plain_table
+
+    def spy(text, directed):
+        returns.append(real(text, directed))
+        return returns[-1]
+
+    monkeypatch.setattr(events_module, "_plain_table", spy)
+    return returns
+
+
+def test_plain_tables_take_one_loadtxt_pass(plain_returns):
+    parsed = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        text = plain_text(rng, lines=int(rng.integers(1, 60)))
+        if parses_as_reference(text, bool(rng.integers(2))):
+            assert isinstance(plain_returns[0], EventStream)
+            parsed += 1
+        else:  # only blank lines drawn
+            assert not text.strip() and plain_returns[0] is None
+        plain_returns.clear()
+    assert parsed > 250
+
+
+# texts the line loop reads, and the reference's stream or error for each
+NOT_PLAIN = {
+    "9-byte label": "1 abcdefghi b\n2 b c\n",
+    "labels alike in 8 bytes": "1 abcdefgh1 x\n2 abcdefgh2 x\n",
+    "nul in a label": "1 a\x00 b\n2 b c\n",
+    "underscore time": "1_0 a b\n",
+    "nan": "0 a b\nnan a b\n",
+    "inf": "0 a b\ninf a b\n",
+    "overflow": "0 a b\n1e400 a b\n",
+    "negative time": "0 a b\n-1 a b\n",
+    "bad time": "0 a b\n1..2 a b\n",
+    "self-event": "0 a b\n3 q q\n",
+    "2 fields": "0 a b\n1 a\n",
+    "4 fields": "0 a b\n1 a b c\n",
+    "non-ASCII": "0 a b\n1 ü b\n",
+    "CRLF": "0 a b\r\n1 b c\r\n",
+    "CR": "0 a b\r1 b c\r",
+    "comment": "# t i j\n0 a b\n",
+    "hash in a label": "0 a#b c\n",
+    # line breaks to str.splitlines, field separators to np.loadtxt
+    "vertical tab": "0 a\x0bb\n",
+    "form feed": "0 a\x0cb\n",
+    "file separator": "0 a\x1cb\n",
+    "group separator": "0 a\x1db\n",
+    "record separator": "0 a\x1eb\n",
+    "unit separator": "0 a\x1fb\n1 b c\n",
+    "whitespace only": " \n\t\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("case", NOT_PLAIN)
+def test_other_texts_take_the_line_loop(plain_returns, case):
+    parses_as_reference(NOT_PLAIN[case])
+    assert plain_returns[0] is None
+
+
+@pytest.mark.parametrize("text", ["0 a b\n1 b c", "\n \n0 a b\n\t\n1 b c\n\n",
+                                  "5 a b", "2 x y\n1 y z\n2 z x\n0 x z\n"])
+def test_plain_edge_texts_take_one_loadtxt_pass(plain_returns, text):
+    assert parses_as_reference(text)
+    assert isinstance(plain_returns[0], EventStream)
+
+
+def test_loadtxt_times_are_float_bit_for_bit(plain_returns):
+    rng = np.random.default_rng(11)
+    strings = [repr(float(x)) for x in rng.random(20000) * 10.0 ** rng.integers(-320, 300, 20000)]
+    for _ in range(40000):
+        digits = "".join(map(str, rng.integers(10, size=int(rng.integers(1, 26)))))
+        point = int(rng.integers(len(digits) + 1))
+        s = f"{rng.choice(['', '+'])}{digits[:point]}.{digits[point:]}"
+        if rng.random() < 0.5:
+            e = int(rng.integers(-330, 280))
+            s += f"{rng.choice(['e', 'E'])}{'+' if e >= 0 and rng.random() < 0.5 else ''}{e}"
+        strings.append(s.replace(".", "") if rng.random() < 0.2 else s)
+    # a first event at 0, so the shift leaves every time's bits
+    stream = parse_events("0 a b\n" + "".join(f"{s} a b\n" for s in strings))
+    assert isinstance(plain_returns[0], EventStream)
+    expected = np.array(sorted([0.0] + [float(s) for s in strings]))
+    assert len(strings) == 60000 and np.isfinite(expected).all()
+    assert stream.times.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_generated_streams_take_one_loadtxt_pass(plain_returns):
+    gen = load_bench("gen")
+    text = gen.make_stream(gen.StreamSpec(40, 120, 900, 300), 3).text()
+    assert parses_as_reference(text)
+    assert isinstance(plain_returns[0], EventStream)
 
 
 # (t, i, j) rows and node count of streams the constructor rejects
